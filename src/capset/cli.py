@@ -11,6 +11,7 @@ capacity errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -76,7 +77,7 @@ def _report_dict(name: str, rep: verifiers.VerifyReport, note: str | None = None
     return d
 
 
-def _failed(name: str, prop: str, witness, t0: float) -> verifiers.VerifyReport:
+def _failed(prop: str, witness, t0: float) -> verifiers.VerifyReport:
     return verifiers.VerifyReport(prop, False, witness, 0, time.perf_counter() - t0, 1)
 
 
@@ -86,72 +87,46 @@ def _run_checks(
     """Run the requested properties in canonical order.
 
     Returns (flag name, report, optional note) triples. Requesting complete
-    implies cap; the two share one coverage sweep.
+    implies cap; the two share one coverage sweep unless --naive puts the cap
+    check on the triple scan.
     """
-    want = [p for p in _PROPERTIES if p in props]
-    if "complete" in want and "cap" not in want:
-        want.insert(want.index("complete"), "cap")
-    out: list[tuple[str, verifiers.VerifyReport, str | None]] = []
-    for name in want:
-        if name == "cap":
-            if naive:
-                out.append(("cap", verifiers.is_cap(s, mode="naive"), None))
-            elif "complete" in want:
-                cap_rep, comp_rep = verifiers.verify_cap_and_complete(
-                    s, threads=threads, progress=progress
-                )
-                out.append(("cap", cap_rep, None))
-                t0 = time.perf_counter()
-                if comp_rep is None:
-                    out.append(
-                        (
-                            "complete",
-                            _failed("complete", "complete_cap", None, t0),
-                            "completeness is undefined: the set is not a cap",
-                        )
-                    )
-                else:
-                    out.append(("complete", comp_rep, None))
-            else:
-                out.append(("cap", verifiers.is_cap(s, mode="fast", threads=threads, progress=progress), None))
-        elif name == "complete":
-            if any(n == "complete" for n, _, _ in out):
-                continue
-            # naive cap path above did not produce coverage; sweep for it now
-            cap_rep, comp_rep = verifiers.verify_cap_and_complete(s, threads=threads, progress=progress)
+    want = [p for p in _PROPERTIES if p in props or (p == "cap" and "complete" in props)]
+    sweep = functools.cache(
+        lambda: verifiers.verify_cap_and_complete(s, threads=threads, progress=progress)
+    )
+
+    def cap():
+        if naive:
+            return verifiers.is_cap(s, mode="naive"), None
+        if "complete" in want:
+            return sweep()[0], None
+        return verifiers.is_cap(s, mode="fast", threads=threads, progress=progress), None
+
+    def complete():
+        rep = sweep()[1]
+        if rep is None:
             t0 = time.perf_counter()
-            if comp_rep is None:
-                out.append(
-                    (
-                        "complete",
-                        _failed("complete", "complete_cap", None, t0),
-                        "completeness is undefined: the set is not a cap",
-                    )
-                )
-            else:
-                out.append(("complete", comp_rep, None))
-        elif name == "pset":
-            out.append(("pset", verifiers.is_pset(s, threads=threads), None))
-        elif name == "saturated":
-            out.append(("saturated", verifiers.is_b_saturated(s), None))
-        elif name == "odd":
-            out.append(("odd", verifiers.is_odd_pset(s), None))
-        elif name == "pset-complete":
-            t0 = time.perf_counter()
-            pre = verifiers.is_pset(s, threads=threads)
-            if not pre.passed:
-                out.append(
-                    (
-                        "pset-complete",
-                        _failed("pset-complete", "complete_pset", pre.witness, t0),
-                        "P-set completeness is undefined: the set is not a P-set",
-                    )
-                )
-            else:
-                out.append(("pset-complete", verifiers.is_complete_pset(s, precheck=False), None))
-        elif name == "thmC":
-            out.append(("thmC", verifiers.pset_characterization(s), None))
-    return out
+            return _failed("complete_cap", None, t0), "completeness is undefined: the set is not a cap"
+        return rep, None
+
+    def pset_complete():
+        t0 = time.perf_counter()
+        pre = verifiers.is_pset(s, threads=threads)
+        if not pre.passed:
+            note = "P-set completeness is undefined: the set is not a P-set"
+            return _failed("complete_pset", pre.witness, t0), note
+        return verifiers.is_complete_pset(s, precheck=False), None
+
+    checks = {
+        "cap": cap,
+        "complete": complete,
+        "pset": lambda: (verifiers.is_pset(s, threads=threads), None),
+        "saturated": lambda: (verifiers.is_b_saturated(s), None),
+        "odd": lambda: (verifiers.is_odd_pset(s), None),
+        "pset-complete": pset_complete,
+        "thmC": lambda: (verifiers.pset_characterization(s), None),
+    }
+    return [(name, *checks[name]()) for name in want]
 
 
 def _emit_reports(

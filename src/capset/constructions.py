@@ -291,11 +291,7 @@ class ProjectiveCap:
     __slots__ = ("members",)
 
     def __init__(self, members: PointSet):
-        ranks = np.asarray(members.ranks)
-        if ranks.size and int(ranks[0]) == 0:
-            raise ConstructionError("projective representatives must be nonzero")
-        if np.isin(ranks, neg_ranks(ranks, members.dim)).any():
-            raise ConstructionError("projective representatives contain a proportional pair")
+        verifiers.check_projective_representatives(members)
         self.members = members
 
     @property

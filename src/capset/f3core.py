@@ -200,13 +200,7 @@ class SpaceBitmap:
             return
         if ranks.min() < 0 or ranks.max() >= self.nbits:
             raise RankRangeError("rank out of range for bitmap")
-        if self.nbits <= POW3[18]:
-            scratch = np.zeros(self.nbits, dtype=np.uint8)
-            scratch[ranks] = 1
-            packed = np.packbits(scratch, bitorder="little")
-            np.bitwise_or(self.buf, packed, out=self.buf)
-        else:
-            np.bitwise_or.at(self.buf, ranks >> 3, _BIT8[ranks & 7])
+        np.bitwise_or.at(self.buf, ranks >> 3, _BIT8[ranks & 7])
 
     def test(self, r: int) -> bool:
         if not 0 <= r < self.nbits:

@@ -1,13 +1,18 @@
 """Exhaustive unordered-pair sweep over a point set.
 
 For every unordered pair of distinct members the sweep computes the third
-point of their line in packed rank form, tests it for membership (cap
-violation), and optionally marks it in a coverage bitmap (completeness).
+point of their line in packed rank form. In cap mode it tests that point for
+membership and stops at the first member it meets; in coverage mode it only
+marks the point in a coverage bitmap (completeness). A third point is never
+either point of its pair, so a set is a cap iff its coverage marks none of its
+own ranks: coverage mode checks that once, after the merge, and only when it
+fails runs the early-exit cap sweep to find the canonical violation.
 
 The kernel splits each rank into base-3 digit groups of width at most 5 and
 uses per-group "negated digit sum" lookup tables scaled by the group's place
-value, so the third-point rank of a whole tail block is three row-gathers and
-two adds. Membership is a byte gather into the packed space bitmap.
+value, so the third-point ranks of an anchor against a whole partner array
+are one row gather per group and adds. The verifiers use the same kernel for
+their cross-set checks, with partners from a second set.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
@@ -27,15 +32,13 @@ from multiprocessing.connection import wait as mp_wait
 import numpy as np
 
 from .errors import CapacityError
-from .f3core import MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap
+from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap
 
 DEFAULT_CHUNK_PAIRS = 10_000_000
 
 # uint8 coverage scratch of 3^dim bytes is kept only while it fits easily in
 # memory; beyond dim 18 coverage falls back to bit-packed scatter.
 _SCRATCH_DIM_LIMIT = 18
-
-_BIT8 = (1 << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -104,26 +107,25 @@ class SweepOutcome:
 
 
 class _Kernel:
-    """Per-process sweep state: digit groups, tables, membership bytes."""
+    """Third-point ranks of one anchor against a fixed array of partner ranks.
 
-    def __init__(self, ranks: np.ndarray, dim: int):
-        if dim > MAX_BITMAP_DIM:
-            raise CapacityError(
-                f"dimension {dim} exceeds bitmap capacity {MAX_BITMAP_DIM}"
-            )
-        self.m = int(ranks.size)
-        self.dim = dim
-        self.nbits = POW3[dim]
-        self.dtype = np.int32 if self.nbits < 2**31 else np.int64
-        self.groups = []  # (coord array, table) most significant first
+    Works at every dimension whose ranks fit int64 (up to 39). The arrays
+    returned by thirds() are reused by the next call.
+    """
+
+    def __init__(self, partners: np.ndarray, dim: int):
+        self.partners = np.asarray(partners, dtype=np.int64)
+        self.dtype = np.int32 if POW3[dim] < 2**31 else np.int64
+        self.groups = []  # (place value, group size, partner digits, table), most significant first
         shift = dim
         while shift > 0:
             width = min(5, shift)
             shift -= width
-            gsize = POW3[width]
-            gvals = ((ranks // POW3[shift]) % gsize).astype(self.dtype)
-            self.groups.append((gvals, self._negadd_table(width, shift)))
-        self.member_bytes = SpaceBitmap.from_ranks(ranks, dim).buf
+            size = POW3[width]
+            digits = ((self.partners // POW3[shift]) % size).astype(self.dtype)
+            self.groups.append((POW3[shift], size, digits, self._negadd_table(width, shift)))
+        self._out = np.empty(self.partners.size, self.dtype)
+        self._tmp = np.empty(self.partners.size, self.dtype)
 
     def _negadd_table(self, width: int, shift: int) -> np.ndarray:
         size = POW3[width]
@@ -134,72 +136,81 @@ class _Kernel:
             table += ((-(di[:, None] + di[None, :])) % 3) * POW3[i]
         return (table * POW3[shift]).astype(self.dtype)
 
-    def scan_chunk(
-        self,
-        a0: int,
-        a1: int,
-        cov_u8: np.ndarray | None,
-        cov_bits: SpaceBitmap | None,
-        progress_cb=None,
-    ) -> tuple[int, int] | None:
-        """Scan anchors [a0, a1); return the first violating (i, j) or None.
+    def thirds(self, anchor: int, start: int = 0) -> np.ndarray:
+        """Ranks of -(anchor + p) for each partner p in partners[start:]."""
+        anchor = int(anchor)
+        out = self._out[: self.partners.size - start]
+        tmp = self._tmp[: out.size]
+        for g, (place, size, digits, table) in enumerate(self.groups):
+            row = table[(anchor // place) % size]
+            if g == 0:
+                np.take(row, digits[start:], out=out)
+            else:
+                np.take(row, digits[start:], out=tmp)
+                out += tmp
+        return out
 
-        In coverage mode (cov_u8 or cov_bits given) the whole chunk is always
-        scanned; in cap mode the scan stops at the first violation.
+    def hits(self, anchor: int, target: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Partner and target indices of the pairs whose third point is in target.
+
+        Pairs are (anchor, partners[p]) for p >= start, in partner order;
+        target is a sorted rank array.
         """
-        m = self.m
-        coverage = cov_u8 is not None or cov_bits is not None
-        t = np.empty(m, self.dtype)
-        tmp = np.empty(m, self.dtype)
-        byt = np.empty(m, np.uint8)
-        bit = np.empty(m, np.uint8)
-        first: tuple[int, int] | None = None
+        thirds = self.thirds(anchor, start)
+        if target.size == 0:
+            return np.empty(0, np.intp), np.empty(0, np.intp)
+        at = np.searchsorted(target, thirds)
+        np.minimum(at, target.size - 1, out=at)
+        found = np.flatnonzero(target[at] == thirds)
+        return found + start, at[found]
+
+    def tails(self, a0: int, a1: int, progress_cb=None):
+        """Yield (i, thirds of partner i with every later partner), i in [a0, a1)."""
+        n = self.partners.size
         done = 0
-        for i in range(a0, a1):
-            length = m - 1 - i
-            if length <= 0:
-                break
-            tail = slice(i + 1, m)
-            tv = t[:length]
-            tmpv = tmp[:length]
-            gvals0, table0 = self.groups[0]
-            np.take(table0[gvals0[i]], gvals0[tail], out=tv)
-            for gvals, table in self.groups[1:]:
-                np.take(table[gvals[i]], gvals[tail], out=tmpv)
-                tv += tmpv
-            if cov_u8 is not None:
-                cov_u8[tv] = 1
-            elif cov_bits is not None:
-                np.bitwise_or.at(cov_bits.buf, tv >> 3, _BIT8[tv & 7])
-            bytv = byt[:length]
-            bitv = bit[:length]
-            np.right_shift(tv, 3, out=tmpv)
-            np.take(self.member_bytes, tmpv, out=bytv)
-            np.bitwise_and(tv, 7, out=tmpv)
-            np.take(_BIT8, tmpv, out=bitv)
-            np.bitwise_and(bytv, bitv, out=bytv)
-            if first is None and bytv.any():
-                j = i + 1 + int(np.flatnonzero(bytv)[0])
-                first = (i, j)
-                if not coverage:
-                    break
-            done += length
+        for i in range(a0, min(a1, n - 1)):
+            yield i, self.thirds(self.partners[i], i + 1)
+            done += n - 1 - i
             if progress_cb is not None and done >= (1 << 23):
                 progress_cb(done)
                 done = 0
         if progress_cb is not None and done:
             progress_cb(done)
-        return first
 
 
-def _third_rank(ranks: np.ndarray, dim: int, i: int, j: int) -> int:
-    r = 0
-    for k in range(dim):
-        w = POW3[dim - 1 - k]
-        a = (int(ranks[i]) // w) % 3
-        b = (int(ranks[j]) // w) % 3
-        r += ((-(a + b)) % 3) * w
-    return r
+def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
+    """Scan the listed chunks in ascending order.
+
+    Coverage mode marks the third point of every pair and returns
+    (None, coverage bitmap). Cap mode returns ((i, j, third rank) of the first
+    pair whose third point is a member, None), or (None, None); it stops early
+    at a chunk beyond one where another worker already found a violation.
+    """
+    kernel = _Kernel(ranks, dim)
+    if mode == "coverage":
+        rows = (t for idx in indices for _, t in kernel.tails(*chunks[idx], progress_cb))
+        if dim <= _SCRATCH_DIM_LIMIT:
+            marks = np.zeros(POW3[dim], np.uint8)
+            for thirds in rows:
+                marks[thirds] = 1
+            return None, SpaceBitmap(dim, np.packbits(marks, bitorder="little"))
+        cov = SpaceBitmap(dim)
+        for thirds in rows:
+            cov.set_ranks(thirds)
+        return None, cov
+    members = SpaceBitmap.from_ranks(ranks, dim).buf
+    for idx in indices:
+        if stop is not None and stop.value < idx:
+            break
+        for i, thirds in kernel.tails(*chunks[idx], progress_cb):
+            hit = np.take(members, thirds >> 3) & np.take(_BIT8, thirds & 7)
+            if hit.any():
+                if stop is not None:
+                    with stop.get_lock():
+                        stop.value = min(stop.value, idx)
+                k = int(np.flatnonzero(hit)[0])
+                return (i, i + 1 + k, int(thirds[k])), None
+    return None, None
 
 
 class _Progress:
@@ -238,44 +249,13 @@ class _Progress:
             self.emit(done)
 
 
-def _new_coverage_buffers(dim: int) -> tuple[np.ndarray | None, SpaceBitmap | None]:
-    if POW3[dim] <= POW3[_SCRATCH_DIM_LIMIT]:
-        return np.zeros(POW3[dim], dtype=np.uint8), None
-    return None, SpaceBitmap(dim)
-
-
-def _pack_coverage(cov_u8: np.ndarray | None, cov_bits: SpaceBitmap | None, dim: int) -> SpaceBitmap:
-    if cov_u8 is not None:
-        return SpaceBitmap(dim, np.packbits(cov_u8, bitorder="little"))
-    assert cov_bits is not None
-    return cov_bits
-
-
 def _worker_main(conn, ranks, dim, mode, chunks, indices, stop, counter) -> None:
-    kernel = _Kernel(ranks, dim)
-    coverage = mode == "coverage"
-    cov_u8, cov_bits = _new_coverage_buffers(dim) if coverage else (None, None)
-
     def progress_cb(done: int) -> None:
         with counter.get_lock():
             counter.value += done
 
-    first: tuple[int, int] | None = None
-    for idx in indices:
-        if not coverage and stop.value < idx:
-            break
-        a0, a1 = chunks[idx]
-        hit = kernel.scan_chunk(a0, a1, cov_u8, cov_bits, progress_cb)
-        # A worker's chunk indices ascend, so its first hit is its minimum.
-        if hit is not None and first is None:
-            first = hit
-            if not coverage:
-                with stop.get_lock():
-                    if idx < stop.value:
-                        stop.value = idx
-                break
-    packed = _pack_coverage(cov_u8, cov_bits, dim).tobytes() if coverage else None
-    conn.send((first, packed))
+    first, cov = _scan(ranks, dim, mode, chunks, indices, progress_cb, stop)
+    conn.send((first, cov.tobytes() if cov is not None else None))
     conn.close()
 
 
@@ -300,45 +280,31 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
     progress = _Progress(total, task.progress, task.progress_interval)
 
     if workers <= 1:
-        first, cov = _run_inline(ps, task, chunks, progress)
+        first, cov = _scan(ps.ranks, ps.dim, task.mode, chunks, range(len(chunks)), progress.add)
     else:
-        first, cov = _run_workers(ps, task, chunks, workers, progress)
+        first, cov = _run_workers(ps, task.mode, chunks, workers, progress)
 
-    violation = None
-    pairs = total
-    if first is not None:
-        i, j = first
-        tr = _third_rank(ps.ranks, ps.dim, i, j)
-        violation = (int(ps.ranks[i]), int(ps.ranks[j]), tr)
-        if not coverage:
-            pairs = pair_index(m, i, j) + 1
-    if first is None or coverage:
+    if coverage:
         progress.finish(total)
-    return SweepOutcome(violation, cov, pairs)
-
-
-def _run_inline(
-    ps: PointSet, task: SweepTask, chunks, progress
-) -> tuple[tuple[int, int] | None, SpaceBitmap | None]:
-    kernel = _Kernel(np.asarray(ps.ranks), ps.dim)
-    coverage = task.mode == "coverage"
-    cov_u8, cov_bits = _new_coverage_buffers(ps.dim) if coverage else (None, None)
-    first: tuple[int, int] | None = None
-    for a0, a1 in chunks:
-        hit = kernel.scan_chunk(a0, a1, cov_u8, cov_bits, progress.add)
-        if hit is not None and first is None:
-            first = hit
-            if not coverage:
-                break
-    cov = _pack_coverage(cov_u8, cov_bits, ps.dim) if coverage else None
-    return first, cov
+        ranks = ps.ranks
+        violation = None
+        # a third point is never either point of its pair: a marked member is a violation
+        if (cov.buf[ranks >> 3] & _BIT8[ranks & 7]).any():
+            cap = SweepTask(points=ps, mode="cap", chunk_pairs=task.chunk_pairs, threads=task.threads)
+            violation = run_sweep(cap).violation
+        return SweepOutcome(violation, cov, total)
+    if first is None:
+        progress.finish(total)
+        return SweepOutcome(None, None, total)
+    i, j, third = first
+    violation = (int(ps.ranks[i]), int(ps.ranks[j]), third)
+    return SweepOutcome(violation, None, pair_index(m, i, j) + 1)
 
 
 def _run_workers(
-    ps: PointSet, task: SweepTask, chunks, workers, progress
-) -> tuple[tuple[int, int] | None, SpaceBitmap | None]:
+    ps: PointSet, mode: str, chunks, workers, progress
+) -> tuple[tuple[int, int, int] | None, SpaceBitmap | None]:
     ctx = mp.get_context("spawn")
-    coverage = task.mode == "coverage"
     stop = ctx.Value("q", len(chunks))
     counter = ctx.Value("q", 0)
     splits = np.array_split(np.arange(len(chunks)), workers)
@@ -354,7 +320,7 @@ def _run_workers(
                 child_conn,
                 np.asarray(ps.ranks),
                 ps.dim,
-                task.mode,
+                mode,
                 chunks,
                 [int(x) for x in part],
                 stop,
@@ -366,8 +332,8 @@ def _run_workers(
         procs.append(proc)
         conns.append(parent_conn)
 
-    merged: SpaceBitmap | None = SpaceBitmap(ps.dim) if coverage else None
-    first: tuple[int, int] | None = None
+    merged: SpaceBitmap | None = SpaceBitmap(ps.dim) if mode == "coverage" else None
+    first: tuple[int, int, int] | None = None
     pending = list(conns)
     try:
         while pending:

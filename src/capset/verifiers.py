@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -22,12 +23,13 @@ from .f3core import (
     PointSet,
     SpaceBitmap,
     coords_from_ranks,
+    neg_ranks,
     ranks_from_coords,
     support_class,
     unrank,
     zero_masks,
 )
-from .sweep import SweepOutcome, SweepTask, pair_index, pairs_total, resolve_threads, run_sweep
+from .sweep import _Kernel, SweepTask, pair_index, pairs_total, resolve_threads, run_sweep
 
 NAIVE_SIZE_LIMIT = 512
 
@@ -68,24 +70,44 @@ def _naive_cap_scan(coords: np.ndarray) -> tuple[tuple[int, int, int] | None, in
     return None, count
 
 
+def _sorted_cap_scan(s: PointSet) -> tuple[tuple[int, int, int] | None, int]:
+    """First pair in canonical order whose third point is a member.
+
+    Membership is a binary search in the sorted ranks, so this works at every
+    dimension. Returns the member indices (i, j, third) and the pairs examined.
+    """
+    m = len(s)
+    kernel = _Kernel(s.ranks, s.dim)
+    for i in range(m - 1):
+        js, ks = kernel.hits(s.ranks[i], s.ranks, i + 1)
+        if js.size:
+            j = int(js[0])
+            return (i, j, int(ks[0])), pair_index(m, i, j) + 1
+    return None, pairs_total(m)
+
+
 def is_cap(
     s: PointSet,
     mode: str = "auto",
     threads: int | None = None,
     progress: bool = False,
 ) -> VerifyReport:
-    """No three distinct members sum to zero coordinatewise."""
+    """No three distinct members sum to zero coordinatewise.
+
+    "auto" runs the triple-scan oracle on sets of at most NAIVE_SIZE_LIMIT
+    points and the pair sweep on larger ones; above MAX_BITMAP_DIM the pair
+    scan tests membership by binary search in the sorted ranks instead of a
+    bitmap, on one worker.
+    """
     t0 = time.perf_counter()
     if mode == "auto":
-        mode = "naive" if (len(s) <= NAIVE_SIZE_LIMIT or s.dim > MAX_BITMAP_DIM) else "fast"
-    if mode == "naive":
-        hit, count = _naive_cap_scan(s.coords())
-        witness = None
-        if hit is not None:
-            witness = tuple(s.point(i) for i in hit)
-        return _report("cap", hit is None, witness, count, t0)
-    if mode != "fast":
+        mode = "naive" if len(s) <= NAIVE_SIZE_LIMIT else "fast"
+    if mode not in ("naive", "fast"):
         raise ValueError(f"unknown is_cap mode {mode!r}")
+    if mode == "naive" or s.dim > MAX_BITMAP_DIM:
+        hit, count = _naive_cap_scan(s.coords()) if mode == "naive" else _sorted_cap_scan(s)
+        witness = tuple(s.point(i) for i in hit) if hit is not None else None
+        return _report("cap", hit is None, witness, count, t0)
     outcome = run_sweep(SweepTask(points=s, mode="cap", threads=threads, progress=progress))
     witness = None
     if outcome.violation is not None:
@@ -378,41 +400,36 @@ def _check_dims(*sets: PointSet) -> int:
 def check_condition1(p1: PointSet, p2: PointSet, p3: PointSet) -> VerifyReport:
     """No zero-sum triple across the product p1 x p2 x p3."""
     t0 = time.perf_counter()
-    _check_dims(p1, p2, p3)
-    c1 = p1.coords().astype(np.int16)
-    c2 = p2.coords().astype(np.int16)
-    c3 = p3.coords().astype(np.int16)
+    dim = _check_dims(p1, p2, p3)
     n2, n3 = len(p2), len(p3)
-    count = 0
-    for ix in range(len(p1)):
-        sums = (c1[ix] + c2[:, None, :] + c3[None, :, :]) % 3
-        hits = ~sums.any(axis=2)
-        if hits.any():
-            iy, iz = np.unravel_index(int(np.flatnonzero(hits.ravel())[0]), hits.shape)
-            count += (int(iy) * n3 + int(iz)) + 1
-            witness = (p1.point(ix), p2.point(int(iy)), p3.point(int(iz)))
+    kernel = _Kernel(p2.ranks, dim)
+    for ix, x in enumerate(p1.ranks):
+        iy, iz = kernel.hits(x, p3.ranks)
+        if iy.size:
+            iy, iz = int(iy[0]), int(iz[0])
+            count = (ix * n2 + iy) * n3 + iz + 1
+            witness = (p1.point(ix), p2.point(iy), p3.point(iz))
             return _report("condition1", False, witness, count, t0)
-        count += n2 * n3
-    return _report("condition1", True, None, count, t0)
+    return _report("condition1", True, None, len(p1) * n2 * n3, t0)
 
 
 def check_condition2(p1: PointSet, p3: PointSet) -> VerifyReport:
     """No zero sum of a p1 member with an unordered distinct pair from p3."""
     t0 = time.perf_counter()
-    _check_dims(p1, p3)
-    c1 = p1.coords().astype(np.int16)
-    c3 = p3.coords().astype(np.int16)
+    dim = _check_dims(p1, p3)
     n3 = len(p3)
     per_x = pairs_total(n3)
-    for ix in range(len(p1)):
-        for iy in range(n3 - 1):
-            sums = (c1[ix] + c3[iy] + c3[iy + 1 :]) % 3
-            hits = ~sums.any(axis=1)
-            if hits.any():
-                iz = iy + 1 + int(np.flatnonzero(hits)[0])
-                count = ix * per_x + pair_index(n3, iy, iz) + 1
-                witness = (p1.point(ix), p3.point(iy), p3.point(iz))
-                return _report("condition2", False, witness, count, t0)
+    kernel = _Kernel(p3.ranks, dim)
+    for ix, x in enumerate(p1.ranks):
+        iy, iz = kernel.hits(x, p3.ranks)
+        # A partner equal to its third is x itself, paired with itself. The
+        # other hits come in mirrored pairs, so the first has iy < iz.
+        distinct = np.flatnonzero(iy != iz)
+        if distinct.size:
+            iy, iz = int(iy[distinct[0]]), int(iz[distinct[0]])
+            count = ix * per_x + pair_index(n3, iy, iz) + 1
+            witness = (p1.point(ix), p3.point(iy), p3.point(iz))
+            return _report("condition2", False, witness, count, t0)
     return _report("condition2", True, None, len(p1) * per_x, t0)
 
 
@@ -435,30 +452,13 @@ def check_condition3(p12: PointSet, p3: PointSet) -> VerifyReport:
     return _report("condition3", True, None, count, t0)
 
 
-def _rank_mod3(rows: list[np.ndarray]) -> int:
-    mat = np.array(rows, dtype=np.int64) % 3
-    rank_count = 0
-    cols = mat.shape[1]
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, mat.shape[0]):
-            if mat[r, col] % 3:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[row, pivot]] = mat[[pivot, row]]
-        inv = 1 if mat[row, col] % 3 == 1 else 2  # inverse of 1 is 1, of 2 is 2
-        mat[row] = (mat[row] * inv) % 3
-        for r in range(mat.shape[0]):
-            if r != row and mat[r, col] % 3:
-                mat[r] = (mat[r] - mat[r, col] * mat[row]) % 3
-        row += 1
-        rank_count += 1
-        if row == mat.shape[0]:
-            break
-    return rank_count
+def check_projective_representatives(members: PointSet) -> None:
+    """Raise ConstructionError unless the vectors are nonzero and no two are proportional."""
+    ranks = members.ranks
+    if ranks.size and int(ranks[0]) == 0:
+        raise ConstructionError("projective representatives must be nonzero")
+    if np.isin(ranks, neg_ranks(ranks, members.dim)).any():
+        raise ConstructionError("projective representatives contain a proportional pair")
 
 
 def is_projective_cap(a) -> VerifyReport:
@@ -467,25 +467,30 @@ def is_projective_cap(a) -> VerifyReport:
     Accepts a ProjectiveCap or a plain PointSet of representatives. The type
     invariants (nonzero vectors, no two proportional) are re-checked and their
     violation is an input error, not a failed report.
+
+    With D = A u -A, a triple of representatives is dependent iff some
+    a + p + t = 0 with a in A and p, t in D from two other classes: the pairs
+    (a, p) whose third point t lies in D. Triples are counted in
+    lexicographic (i, j, k) order; the first dependent one starts at the first
+    anchor with a hit.
     """
     t0 = time.perf_counter()
     members: PointSet = getattr(a, "members", a)
-    ranks = members.ranks
-    if ranks.size and int(ranks[0]) == 0:
-        raise ConstructionError("projective representatives must be nonzero")
-    from .f3core import neg_ranks
-
-    negs = neg_ranks(ranks, members.dim)
-    if np.isin(ranks, negs).any():
-        raise ConstructionError("projective representatives contain a proportional pair")
-    coords = members.coords().astype(np.int64)
+    check_projective_representatives(members)
     m = len(members)
-    count = 0
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                count += 1
-                if _rank_mod3([coords[i], coords[j], coords[k]]) < 3:
-                    witness = (members.point(i), members.point(j), members.point(k))
-                    return _report("projective_cap", False, witness, count, t0)
-    return _report("projective_cap", True, None, count, t0)
+    both = np.concatenate([members.ranks, neg_ranks(members.ranks, members.dim)])
+    order = np.argsort(both)
+    target = both[order]
+    cls = np.tile(np.arange(m), 2)[order]  # the representative index of each point of D
+    kernel = _Kernel(target, members.dim)
+    for i, x in enumerate(members.ranks):
+        ip, it = kernel.hits(x, target)
+        # p = x is its own third; p = -x has third 0, which is not in D
+        keep = ip != it
+        if keep.any():
+            pairs = np.sort(np.stack([cls[ip[keep]], cls[it[keep]]]), axis=0)
+            j, k = (int(c) for c in pairs[:, np.argmin(pairs[0] * m + pairs[1])])
+            count = comb(m, 3) - comb(m - i, 3) + pair_index(m - i - 1, j - i - 1, k - i - 1) + 1
+            witness = (members.point(i), members.point(j), members.point(k))
+            return _report("projective_cap", False, witness, count, t0)
+    return _report("projective_cap", True, None, comb(m, 3), t0)

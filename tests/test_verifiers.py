@@ -19,7 +19,8 @@ from capset.constructions import (
     unit_pset,
 )
 from capset.errors import CapacityError, DimensionError, PreconditionError
-from capset.f3core import POW3, PointSet, rank, third_point, unrank
+from capset.f3core import POW3, PointSet, neg_ranks, rank, third_point, unrank
+from capset.sweep import pairs_total
 from capset.verifiers import (
     NAIVE_SIZE_LIMIT,
     check_condition1,
@@ -112,6 +113,37 @@ def test_auto_mode_switches_on_size():
     m = len(big)
     assert rep_big.pairs_examined == m * (m - 1) // 2
     assert len(small) <= NAIVE_SIZE_LIMIT < len(big)
+
+
+def brute_first_pair(s):
+    """(witness, pairs examined) of the first pair in canonical order whose
+    third point, from coordinate sums, is a member."""
+    coords = s.coords().astype(np.int64)
+    weights = np.array([3**k for k in range(s.dim)][::-1], dtype=np.int64)
+    m = len(s)
+    for i in range(m - 1):
+        thirds = ((-(coords[i] + coords[i + 1 :])) % 3) @ weights
+        hits = np.flatnonzero(np.isin(thirds, s.ranks))
+        if hits.size:
+            j = i + 1 + int(hits[0])
+            witness = (s.point(i), s.point(j), unrank(int(thirds[hits[0]]), s.dim))
+            return witness, pairs_total(m) - pairs_total(m - i) + (j - i)
+    return None, pairs_total(m)
+
+
+def test_auto_mode_above_bitmap_dim_scans_pairs():
+    # 896 points in dimension 21: too large for the triple scan, too wide for
+    # the bitmap sweep
+    tail = PointSet.from_points([(1,) * 12])
+    base = product([C112, gen_B(3), tail])
+    assert base.dim == 21 and len(base) > NAIVE_SIZE_LIMIT
+    rep = is_cap(base)
+    assert rep.passed
+    assert (None, rep.pairs_examined) == brute_first_pair(base)
+    bad = extend(base, third_point(base.point(300), base.point(700)))
+    rep = is_cap(bad)
+    assert not rep.passed
+    assert (rep.witness, rep.pairs_examined) == brute_first_pair(bad)
 
 
 def test_is_cap_rejects_unknown_mode():
@@ -371,6 +403,102 @@ def test_condition_checks_reject_mixed_dims():
         check_condition2(P3, P6)
     with pytest.raises(DimensionError):
         check_condition3(P3, P6)
+
+
+def zero_sum(*points):
+    return all(sum(c) % 3 == 0 for c in zip(*points))
+
+
+def brute_condition1(p1, p2, p3):
+    count = 0
+    for triple in itertools.product(p1.points(), p2.points(), p3.points()):
+        count += 1
+        if zero_sum(*triple):
+            return False, triple, count
+    return True, None, count
+
+
+def brute_condition2(p1, p3):
+    count = 0
+    for x in p1.points():
+        for y, z in itertools.combinations(p3.points(), 2):
+            count += 1
+            if zero_sum(x, y, z):
+                return False, (x, y, z), count
+    return True, None, count
+
+
+def brute_projective(a):
+    """Lexicographic triple scan: x, y, z are dependent iff x + b*y + c*z = 0
+    for some nonzero b, c (no member is zero and no two are proportional)."""
+    count = 0
+    for x, y, z in itertools.combinations(a.points(), 3):
+        count += 1
+        for b in (1, 2):
+            for c in (1, 2):
+                if zero_sum(x, tuple(b * t for t in y), tuple(c * t for t in z)):
+                    return False, (x, y, z), count
+    return True, None, count
+
+
+def outcome(rep):
+    return rep.passed, rep.witness, rep.pairs_examined
+
+
+def projective_reps(rng, dim, size):
+    """Up to size nonzero ranks, one per projective point."""
+    ranks = set()
+    for r in rng.sample(range(1, POW3[dim]), size):
+        if int(neg_ranks([r], dim)[0]) not in ranks:
+            ranks.add(r)
+    return PointSet.from_ranks(sorted(ranks), dim)
+
+
+def test_cross_checks_match_brute_force():
+    # small operands, empty ones and operands sharing points, so that a
+    # partner equal to its own third point (x paired with x) occurs
+    rng = random.Random(0xB27)
+    failed = {"condition1": 0, "condition2": 0, "projective": 0}
+    for _ in range(300):
+        dim = rng.randint(2, 5)
+        top = min(8, POW3[dim])
+        p1, p2, p3 = (random_set(rng, dim, rng.randint(0, top)) for _ in range(3))
+        if rng.random() < 0.4:
+            p3 = union_sets([p3, PointSet.from_ranks(p1.ranks[:2], dim)], allow_overlap=True)
+        if rng.random() < 0.4:
+            p2 = union_sets([p2, PointSet.from_ranks(p1.ranks[:2], dim)], allow_overlap=True)
+        expected = brute_condition1(p1, p2, p3)
+        assert outcome(check_condition1(p1, p2, p3)) == expected
+        failed["condition1"] += not expected[0]
+        expected = brute_condition2(p1, p3)
+        assert outcome(check_condition2(p1, p3)) == expected
+        failed["condition2"] += not expected[0]
+        a = projective_reps(rng, dim, rng.randint(0, min(12, POW3[dim] - 1)))
+        expected = brute_projective(a)
+        assert outcome(is_projective_cap(a)) == expected
+        failed["projective"] += not expected[0]
+    # both verdicts are exercised
+    assert all(30 < n < 270 for n in failed.values()), failed
+
+
+@pytest.mark.parametrize("dim", [21, 39])
+def test_cross_checks_above_bitmap_dim(dim):
+    rng = random.Random(dim)
+    a, b, c = (random_set(rng, dim, 6) for _ in range(3))
+    x, y = a.point(4), b.point(2)
+    c_bad = extend(c, third_point(x, y))
+    for p3 in (c, c_bad):
+        assert outcome(check_condition1(a, b, p3)) == brute_condition1(a, b, p3)
+    assert not check_condition1(a, b, c_bad).passed
+    b_bad = union_sets([b, c_bad])
+    for p3 in (b, b_bad):
+        assert outcome(check_condition2(a, p3)) == brute_condition2(a, p3)
+    assert not check_condition2(a, b_bad).passed
+    reps = projective_reps(rng, dim, 6)
+    dependent = extend(reps, tuple((s + 2 * t) % 3 for s, t in zip(reps.point(1), reps.point(3))))
+    for s in (reps, dependent):
+        assert outcome(is_projective_cap(s)) == brute_projective(s)
+    assert not is_projective_cap(dependent).passed
 
 
 # --- projective caps --------------------------------------------------------------
