@@ -16,12 +16,14 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .capfile import read_capset, write_capset
 from .constructions import preset_ag6_112, preset_ag15_inputs, preset_ag15_reports, five_block, five_block_reports
 from .errors import CapsetError, PreconditionError
 from .expr import evaluate
-from .f3core import Point, PointSet
+from .f3core import Point, PointSet, unrank
 from .sweep import resolve_threads
 from . import verifiers
 
@@ -234,19 +236,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if a == b:
         print(f"identical: dim {a.dim}, size {len(a)}")
         return 0
-    only_a = [p for p in a if p not in b]
-    only_b = [p for p in b if p not in a]
     print(f"different: dim {a.dim}")
-    print(f"only in {args.file_a}: {len(only_a)}")
-    for p in only_a[:10]:
-        print(f"  {_trits(p)}")
-    if len(only_a) > 10:
-        print(f"  ... {len(only_a) - 10} more")
-    print(f"only in {args.file_b}: {len(only_b)}")
-    for p in only_b[:10]:
-        print(f"  {_trits(p)}")
-    if len(only_b) > 10:
-        print(f"  ... {len(only_b) - 10} more")
+    for name, mine, theirs in ((args.file_a, a, b), (args.file_b, b, a)):
+        only = np.setdiff1d(mine.ranks, theirs.ranks, assume_unique=True)
+        print(f"only in {name}: {only.size}")
+        for r in only[:10]:
+            print(f"  {_trits(unrank(int(r), a.dim))}")
+        if only.size > 10:
+            print(f"  ... {only.size - 10} more")
     return 1
 
 

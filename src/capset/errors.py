@@ -26,6 +26,10 @@ class CapacityError(CapsetError):
     """The operation needs a dense bitmap beyond the supported dimension."""
 
 
+class WorkerError(CapsetError):
+    """A sweep worker process died before sending its result."""
+
+
 class ConstructionError(CapsetError):
     """A construction received inputs that violate its contract."""
 

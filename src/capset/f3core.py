@@ -31,6 +31,10 @@ POW3 = tuple(3**i for i in range(40))
 
 _BIT8 = (1 << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 
+# Bitmap bytes per step of SpaceBitmap.missing_ranks (2^19 ranks), which
+# bounds the memory of a completeness scan at any dimension.
+SCAN_BLOCK_BYTES = 1 << 16
+
 
 def _check_point(p: Point) -> None:
     if not isinstance(p, tuple) or len(p) == 0:
@@ -218,17 +222,20 @@ class SpaceBitmap:
     def copy(self) -> "SpaceBitmap":
         return SpaceBitmap(self.dim, self.buf.copy())
 
+    def missing_ranks(self) -> Iterator[np.ndarray]:
+        """Ascending arrays of the clear ranks, one per SCAN_BLOCK_BYTES block that has any."""
+        for lo in range(0, self.buf.size, SCAN_BLOCK_BYTES):
+            block = self.buf[lo : lo + SCAN_BLOCK_BYTES]
+            if (block == 0xFF).all():
+                continue
+            ranks = np.flatnonzero(np.unpackbits(~block, bitorder="little")) + lo * 8
+            ranks = ranks[ranks < self.nbits]  # the padding bits of the last byte
+            if ranks.size:
+                yield ranks
+
     def first_missing(self) -> int | None:
         """The smallest rank whose bit is clear, or None if all bits are set."""
-        candidates = np.flatnonzero(self.buf != 0xFF)
-        for byte_idx in candidates:
-            val = int(self.buf[byte_idx])
-            for bit in range(8):
-                if not val & (1 << bit):
-                    r = int(byte_idx) * 8 + bit
-                    if r < self.nbits:
-                        return r
-        return None
+        return next((int(ranks[0]) for ranks in self.missing_ranks()), None)
 
     def tobytes(self) -> bytes:
         return self.buf.tobytes()

@@ -18,7 +18,10 @@ Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
 worker owns a private coverage buffer merged by OR at the end, and the
 reported violation is the minimum in canonical pair order, so outcomes are
-bit-identical for any number of workers.
+bit-identical for any number of workers. A worker that dies before sending its
+result raises WorkerError; on any error the workers still running are
+terminated. The coverage is the one source of third points for both
+completeness checks in the verifiers.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from multiprocessing.connection import wait as mp_wait
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, WorkerError
 from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap
 
 DEFAULT_CHUNK_PAIRS = 10_000_000
@@ -309,39 +312,44 @@ def _run_workers(
     counter = ctx.Value("q", 0)
     splits = np.array_split(np.arange(len(chunks)), workers)
     procs = []
-    conns = []
-    for part in splits:
-        if part.size == 0:
-            continue
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                np.asarray(ps.ranks),
-                ps.dim,
-                mode,
-                chunks,
-                [int(x) for x in part],
-                stop,
-                counter,
-            ),
-        )
-        proc.start()
-        child_conn.close()
-        procs.append(proc)
-        conns.append(parent_conn)
-
     merged: SpaceBitmap | None = SpaceBitmap(ps.dim) if mode == "coverage" else None
     first: tuple[int, int, int] | None = None
-    pending = list(conns)
     try:
+        pending = {}
+        for part in splits:
+            if part.size == 0:
+                continue
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(
+                    child_conn,
+                    np.asarray(ps.ranks),
+                    ps.dim,
+                    mode,
+                    chunks,
+                    [int(x) for x in part],
+                    stop,
+                    counter,
+                ),
+            )
+            proc.start()
+            child_conn.close()
+            procs.append(proc)
+            pending[parent_conn] = proc
         while pending:
-            ready = mp_wait(pending, timeout=0.5)
+            ready = mp_wait(list(pending), timeout=0.5)
             for conn in ready:
-                hit, packed = conn.recv()
-                conn.close()
-                pending.remove(conn)
+                proc = pending.pop(conn)
+                try:
+                    hit, packed = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise WorkerError(
+                        f"sweep worker died before sending its result (exit code {proc.exitcode})"
+                    ) from None
+                finally:
+                    conn.close()
                 if hit is not None and (first is None or hit < first):
                     first = hit
                 if packed is not None and merged is not None:
@@ -349,6 +357,11 @@ def _run_workers(
                         SpaceBitmap(ps.dim, np.frombuffer(packed, dtype=np.uint8))
                     )
             progress.maybe_emit(int(counter.value))
+    except BaseException:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        raise
     finally:
         for proc in procs:
             proc.join()

@@ -6,6 +6,11 @@ triple, a pair-condition witness is a pair with disjoint zero supports, a
 completeness witness is an extension point, and so on. Scans run in canonical
 rank order, so witnesses and work counts are reproducible across runs and
 worker counts.
+
+Both completeness checks (coverage_complete for caps, is_complete_pset for
+P-sets) read the sweep's pair coverage, with the members ORed in, through
+SpaceBitmap.missing_ranks: the ranks left clear are the points on no line
+with two members.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ from .f3core import (
     SpaceBitmap,
     coords_from_ranks,
     neg_ranks,
-    ranks_from_coords,
     support_class,
     unrank,
     zero_masks,
@@ -230,8 +234,11 @@ def is_b_saturated(s: PointSet) -> VerifyReport:
 def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
     """No external point can be added while keeping the P-set conditions.
 
-    The witness of a failure is an extension point. The count reports how
-    many external candidates were examined.
+    An external point lies on a line with two members iff it is the third
+    point of that pair, so the candidates are the ranks left clear by the
+    members and their pair coverage (a coverage sweep on one worker). The
+    witness of a failure is the first that shares a zero coordinate with
+    every member; the count is the number of external ranks examined.
     """
     t0 = time.perf_counter()
     if precheck:
@@ -240,41 +247,21 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
             raise PreconditionError(
                 "is_pset", "completeness is defined only for P-sets", rep.witness
             )
-    if s.dim > MAX_BITMAP_DIM:
-        raise CapacityError(
-            f"dimension {s.dim} exceeds bitmap capacity {MAX_BITMAP_DIM}"
-        )
-    m = len(s)
+    # without the precheck s may not be a cap; its coverage is exact regardless
+    free = run_sweep(SweepTask(points=s, mode="coverage", threads=1)).coverage
+    free.or_inplace(s.bitmap())
     zm = s.zero_masks()
-    mem_coords = s.coords().astype(np.int16)
-    member_bitmap = s.bitmap()
-    nbits = POW3[s.dim]
-    chunk = max(64, (1 << 21) // max(m * s.dim, 1))
-    count = 0
-    for lo in range(0, nbits, chunk):
-        ranks = np.arange(lo, min(lo + chunk, nbits), dtype=np.int64)
-        external = ranks[~np.isin(ranks, s.ranks)] if m else ranks
-        if external.size == 0:
-            continue
-        coords = coords_from_ranks(external, s.dim)
-        cand_zm = zero_masks(coords)
-        ok = np.ones(external.size, dtype=bool)
-        if m:
-            # pair condition against every member
-            ok &= ((cand_zm[:, None] & zm[None, :]) != 0).all(axis=1)
-            # no member pair completes a line through the candidate
-            thirds = (-(coords[:, None, :].astype(np.int16) + mem_coords[None, :, :])) % 3
-            trank = ranks_from_coords(thirds.reshape(-1, s.dim)).reshape(external.size, m)
-            in_set = (member_bitmap.buf[trank >> 3] & (1 << (trank & 7)).astype(np.uint8)) != 0
-            ok &= ~in_set.any(axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            i = int(hits[0])
-            count += i + 1
-            witness = (unrank(int(external[i]), s.dim),)
-            return _report("complete_pset", False, witness, count, t0)
-        count += int(external.size)
-    return _report("complete_pset", True, None, count, t0)
+    step = max(64, (1 << 21) // max(len(s), 1))
+    for block in free.missing_ranks():
+        for lo in range(0, block.size, step):
+            cand = block[lo : lo + step]
+            cand_zm = zero_masks(coords_from_ranks(cand, s.dim))
+            hits = np.flatnonzero(((cand_zm[:, None] & zm[None, :]) != 0).all(axis=1))
+            if hits.size:
+                r = int(cand[hits[0]])
+                count = r - int(np.searchsorted(s.ranks, r)) + 1
+                return _report("complete_pset", False, (unrank(r, s.dim),), count, t0)
+    return _report("complete_pset", True, None, POW3[s.dim] - len(s), t0)
 
 
 _INTERVAL_BLOCK = 1 << 22  # candidate x interval tests per vectorised step

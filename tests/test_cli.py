@@ -224,6 +224,22 @@ def test_diff_lists_differences(tmp_path, capsys):
     assert "02" in out and "10" in out
 
 
+def test_diff_truncates_long_listings(tmp_path, capsys):
+    a = caps_file(tmp_path, PointSet.from_ranks(range(0, 14), 3), "a.caps")
+    b = caps_file(tmp_path, PointSet.from_ranks(range(13, 27), 3), "b.caps")
+    code, out, _ = run(capsys, "diff", a, b)
+    assert code == 1
+    assert out == (
+        "different: dim 3\n"
+        f"only in {a}: 13\n"
+        "  000\n  001\n  002\n  010\n  011\n  012\n  020\n  021\n  022\n  100\n"
+        "  ... 3 more\n"
+        f"only in {b}: 13\n"
+        "  112\n  120\n  121\n  122\n  200\n  201\n  202\n  210\n  211\n  212\n"
+        "  ... 3 more\n"
+    )
+
+
 def test_diff_dim_mismatch(tmp_path, capsys):
     a = caps_file(tmp_path, gen_B(2), "a.caps")
     b = caps_file(tmp_path, gen_B(3), "b.caps")

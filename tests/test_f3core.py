@@ -14,6 +14,7 @@ from capset.errors import (
 from capset.f3core import (
     MAX_BITMAP_DIM,
     POW3,
+    SCAN_BLOCK_BYTES,
     PointSet,
     SpaceBitmap,
     add_mod3,
@@ -301,6 +302,19 @@ def test_bitmap_first_missing():
     bm2 = SpaceBitmap(2)
     bm2.set_ranks(np.array([0, 1, 2, 3, 5, 6, 7, 8], dtype=np.int64))
     assert bm2.first_missing() == 4
+    # a space spanning several scan blocks; 3^dim is odd, so the last byte has padding bits
+    dim = next(d for d in range(1, MAX_BITMAP_DIM + 1) if POW3[d] > 16 * SCAN_BLOCK_BYTES)
+    full = SpaceBitmap.from_ranks(np.arange(POW3[dim]), dim)
+    assert full.first_missing() is None
+    assert list(full.missing_ranks()) == []
+    late = 8 * SCAN_BLOCK_BYTES + 5
+    full.buf[late >> 3] &= ~np.uint8(1 << (late & 7))
+    assert full.first_missing() == late
+    rng = np.random.default_rng(0xB10C)
+    ranks = rng.choice(POW3[dim], size=POW3[dim] - 50, replace=False)
+    sparse = SpaceBitmap.from_ranks(ranks, dim)
+    clear = np.setdiff1d(np.arange(POW3[dim]), ranks)
+    assert np.array_equal(np.concatenate(list(sparse.missing_ranks())), clear)
 
 
 def test_bitmap_or_merge_and_copy():

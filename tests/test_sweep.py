@@ -1,11 +1,16 @@
 """Pair-sweep engine: chunking, determinism, coverage, early exit, progress."""
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import capset
 from capset.errors import CapacityError
 from capset.f3core import POW3, PointSet, SpaceBitmap, rank, third_point, unrank
 from capset.sweep import (
@@ -243,6 +248,31 @@ def test_multi_worker_coverage_reports_canonical_violation():
 
 
 # --- limits and edge cases ----------------------------------------------------
+
+
+def test_dead_worker_raises_worker_error(tmp_path):
+    # Without a __main__ guard every spawned worker re-runs the script on
+    # import, fails to start a process of its own and exits before sending.
+    script = tmp_path / "no_main_guard.py"
+    script.write_text(textwrap.dedent("""
+        import sys
+        import numpy as np
+        from capset.errors import CapsetError
+        from capset.f3core import PointSet
+        from capset.sweep import SweepTask, run_sweep
+
+        ranks = np.random.default_rng(7).choice(243, 60, replace=False)
+        try:
+            run_sweep(SweepTask(PointSet(5, ranks), "coverage", chunk_pairs=100, threads=2))
+        except CapsetError as e:
+            print(type(e).__name__)
+            sys.exit(2)
+    """))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
+    res = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (res.stdout.strip(), res.returncode) == ("WorkerError", 2), res.stderr
 
 
 def test_tiny_sets_short_circuit():

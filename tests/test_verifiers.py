@@ -19,7 +19,7 @@ from capset.constructions import (
     unit_pset,
 )
 from capset.errors import CapacityError, DimensionError, PreconditionError
-from capset.f3core import POW3, PointSet, neg_ranks, rank, third_point, unrank
+from capset.f3core import POW3, PointSet, neg_ranks, rank, support_class, third_point, unrank
 from capset.sweep import pairs_total
 from capset.verifiers import (
     NAIVE_SIZE_LIMIT,
@@ -279,6 +279,47 @@ def test_empty_set_is_extendable_pset():
     rep = is_complete_pset(empty)
     assert not rep.passed
     assert rep.witness == ((0, 0),)
+
+
+def brute_complete_pset(s):
+    """First non-member in rank order that shares a zero with every member and
+    lies on no line with two members; (passed, witness, non-members examined)."""
+    members = set(s.points())
+    examined = 0
+    for r in range(POW3[s.dim]):
+        x = unrank(r, s.dim)
+        if x in members:
+            continue
+        examined += 1
+        shares = all(any(a == b == 0 for a, b in zip(x, y)) for y in members)
+        # the line through x and y ends in -(x + y), which is never y itself
+        on_line = any(tuple(-(a + b) % 3 for a, b in zip(x, y)) in members for y in members)
+        if shares and not on_line:
+            return False, (x,), examined
+    return True, None, examined
+
+
+def test_is_complete_pset_matches_brute_force():
+    rng = random.Random(0xC0DE)
+    verdicts = {True: 0, False: 0}
+    for trial in range(240):
+        dim = rng.randint(1, 5)
+        s = random_set(rng, dim, rng.randint(0, min(POW3[dim], 10)))
+        if trial % 2:  # saturate: the full support class of every member
+            ranks = [support_class(p).ranks for p in s]
+            s = PointSet(dim, np.concatenate(ranks)) if ranks else s
+        rep = is_complete_pset(s, precheck=False)
+        assert (rep.passed, rep.witness, rep.pairs_examined) == brute_complete_pset(s), s
+        verdicts[rep.passed] += 1
+    assert min(verdicts.values()) > 30, verdicts
+
+
+def test_is_complete_pset_counts():
+    six_p2p1 = six_construction(*[seed_P(2)] * 3, *[P1] * 3)
+    assert six_p2p1.dim == 9
+    for s, passed, count in ((P6, True, 649), (six_p2p1, True, 19_043), (U6, False, 9)):
+        rep = is_complete_pset(s)
+        assert (rep.passed, rep.pairs_examined) == (passed, count)
 
 
 # --- characterization -----------------------------------------------------------
