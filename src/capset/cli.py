@@ -6,7 +6,7 @@ preset with its hypothesis-check report, and diff two files.
 
 Exit codes: 0 all requested checks passed (or command succeeded), 1 a checked
 property failed (the report carries the witness), 2 usage, parse, input, or
-capacity errors.
+capacity errors, a dead sweep worker, running out of memory, or an interrupt.
 """
 from __future__ import annotations
 
@@ -308,6 +308,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

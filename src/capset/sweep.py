@@ -16,12 +16,14 @@ their cross-set checks, with partners from a second set.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
-worker owns a private coverage buffer merged by OR at the end, and the
-reported violation is the minimum in canonical pair order, so outcomes are
-bit-identical for any number of workers. A worker that dies before sending its
-result raises WorkerError; on any error the workers still running are
-terminated. The coverage is the one source of third points for both
-completeness checks in the verifiers.
+worker owns a private coverage buffer, and the reported violation is the
+minimum in canonical pair order, so outcomes are bit-identical for any number
+of workers. A finished worker sends its first violation, then its packed
+coverage as consecutive raw blocks of MERGE_BLOCK_BYTES, which the parent
+receives into one reusable buffer and ORs into the merged bitmap as they
+arrive. A worker that dies before sending all of this raises WorkerError; on
+any error the workers still running are terminated. The coverage is the one
+source of third points for both completeness checks in the verifiers.
 """
 from __future__ import annotations
 
@@ -38,6 +40,10 @@ from .errors import CapacityError, WorkerError
 from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap
 
 DEFAULT_CHUNK_PAIRS = 10_000_000
+
+# Raw block size of a worker's packed coverage stream: the parent holds one
+# block at a time, not a copy of each worker's 3^dim/8 bytes.
+MERGE_BLOCK_BYTES = 1 << 20
 
 # uint8 coverage scratch of 3^dim bytes is kept only while it fits easily in
 # memory; beyond dim 18 coverage falls back to bit-packed scatter.
@@ -258,7 +264,10 @@ def _worker_main(conn, ranks, dim, mode, chunks, indices, stop, counter) -> None
             counter.value += done
 
     first, cov = _scan(ranks, dim, mode, chunks, indices, progress_cb, stop)
-    conn.send((first, cov.tobytes() if cov is not None else None))
+    conn.send(first)
+    if cov is not None:
+        for lo in range(0, cov.buf.size, MERGE_BLOCK_BYTES):
+            conn.send_bytes(cov.buf[lo : lo + MERGE_BLOCK_BYTES])
     conn.close()
 
 
@@ -313,6 +322,7 @@ def _run_workers(
     splits = np.array_split(np.arange(len(chunks)), workers)
     procs = []
     merged: SpaceBitmap | None = SpaceBitmap(ps.dim) if mode == "coverage" else None
+    block = np.empty(MERGE_BLOCK_BYTES, np.uint8)
     first: tuple[int, int, int] | None = None
     try:
         pending = {}
@@ -342,20 +352,22 @@ def _run_workers(
             for conn in ready:
                 proc = pending.pop(conn)
                 try:
-                    hit, packed = conn.recv()
-                except EOFError:
+                    hit = conn.recv()
+                    if merged is not None:
+                        for lo in range(0, merged.buf.size, MERGE_BLOCK_BYTES):
+                            part = merged.buf[lo : lo + MERGE_BLOCK_BYTES]
+                            conn.recv_bytes_into(block)
+                            np.bitwise_or(part, block[: part.size], out=part)
+                except (EOFError, OSError):
+                    # EOFError between messages, OSError inside a block
                     proc.join()
                     raise WorkerError(
-                        f"sweep worker died before sending its result (exit code {proc.exitcode})"
+                        f"sweep worker died before sending its whole result (exit code {proc.exitcode})"
                     ) from None
                 finally:
                     conn.close()
                 if hit is not None and (first is None or hit < first):
                     first = hit
-                if packed is not None and merged is not None:
-                    merged.or_inplace(
-                        SpaceBitmap(ps.dim, np.frombuffer(packed, dtype=np.uint8))
-                    )
             progress.maybe_emit(int(counter.value))
     except BaseException:
         for proc in procs:

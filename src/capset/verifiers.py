@@ -8,15 +8,18 @@ rank order, so witnesses and work counts are reproducible across runs and
 worker counts.
 
 Both completeness checks (coverage_complete for caps, is_complete_pset for
-P-sets) read the sweep's pair coverage, with the members ORed in, through
-SpaceBitmap.missing_ranks: the ranks left clear are the points on no line
-with two members.
+P-sets) read the sweep's pair coverage in place, block by block through
+SpaceBitmap.missing_ranks, and drop the members from each block by binary
+search in the sorted ranks: the ranks left are the points outside the set on
+no line with two members. Neither copies the coverage or builds a member
+bitmap.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -126,15 +129,25 @@ def is_cap(
     )
 
 
+def _uncovered_outside(s: PointSet, coverage: SpaceBitmap) -> Iterator[np.ndarray]:
+    """Ascending clear ranks of coverage that are not members of s, block by block."""
+    ranks = s.ranks
+    for block in coverage.missing_ranks():
+        members = ranks[np.searchsorted(ranks, block[0]) : np.searchsorted(ranks, block[-1], "right")]
+        if members.size:
+            at = np.searchsorted(block, members)
+            block = np.delete(block, at[block[at] == members])
+        if block.size:
+            yield block
+
+
 def coverage_complete(s: PointSet, coverage: SpaceBitmap, pairs: int = 0, t0: float | None = None, workers: int = 1) -> VerifyReport:
     """Every rank outside s is the third point of some pair of s."""
     if t0 is None:
         t0 = time.perf_counter()
     if coverage.dim != s.dim:
         raise DimensionError("coverage bitmap dimension differs from the set")
-    merged = coverage.copy()
-    merged.or_inplace(s.bitmap())
-    missing = merged.first_missing()
+    missing = next((int(block[0]) for block in _uncovered_outside(s, coverage)), None)
     witness = (unrank(missing, s.dim),) if missing is not None else None
     return _report("complete_cap", missing is None, witness, pairs, t0, workers)
 
@@ -248,11 +261,10 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
                 "is_pset", "completeness is defined only for P-sets", rep.witness
             )
     # without the precheck s may not be a cap; its coverage is exact regardless
-    free = run_sweep(SweepTask(points=s, mode="coverage", threads=1)).coverage
-    free.or_inplace(s.bitmap())
+    coverage = run_sweep(SweepTask(points=s, mode="coverage", threads=1)).coverage
     zm = s.zero_masks()
     step = max(64, (1 << 21) // max(len(s), 1))
-    for block in free.missing_ranks():
+    for block in _uncovered_outside(s, coverage):
         for lo in range(0, block.size, step):
             cand = block[lo : lo + step]
             cand_zm = zero_masks(coords_from_ranks(cand, s.dim))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from capset import verifiers
 from capset.capfile import read_capset, write_capset
 from capset.cli import main
 from capset.constructions import gen_B, preset_ag6_112, seed_P
@@ -249,6 +250,20 @@ def test_diff_dim_mismatch(tmp_path, capsys):
 
 
 # --- usage ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "exc, message", [(MemoryError, "out of memory"), (KeyboardInterrupt, "interrupted")]
+)
+def test_verify_memory_error_and_interrupt_exit_2(tmp_path, capsys, monkeypatch, exc, message):
+    path = caps_file(tmp_path, gen_B(2), "b2.caps")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(verifiers, "verify_cap_and_complete", fail)
+    code, out, err = run(capsys, "verify", path, "--complete")
+    assert (code, err) == (2, f"error: {message}\n")
 
 
 def test_usage_error_exits_2():

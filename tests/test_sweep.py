@@ -275,6 +275,64 @@ def test_dead_worker_raises_worker_error(tmp_path):
     assert (res.stdout.strip(), res.returncode) == ("WorkerError", 2), res.stderr
 
 
+@pytest.mark.parametrize("dim, size, chunk_pairs", [(4, 30, 40), (19, 300, 5000)])
+def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs):
+    # dim 4: an 11-byte packed bitmap, shorter than one merge block; dim 19:
+    # the bit-packed scatter path, 139 blocks per worker, the last one partial
+    rng = random.Random(0x5B)
+    s = random_set(rng, dim, size)
+    p, q = s.point(0), s.point(1)  # a line through two members: a violation
+    s = PointSet.from_ranks(list(s.ranks) + [rank(third_point(p, q))], dim)
+    base = run_sweep(SweepTask(s, "coverage", chunk_pairs=chunk_pairs, threads=1))
+    assert base.violation is not None
+    for threads in (2, 3):
+        out = run_sweep(SweepTask(s, "coverage", chunk_pairs=chunk_pairs, threads=threads))
+        assert out.violation == base.violation
+        assert out.pairs_examined == base.pairs_examined == pairs_total(len(s))
+        assert out.coverage == base.coverage
+        del out
+
+
+def test_worker_dying_mid_stream_raises_worker_error(tmp_path):
+    # The top level runs again in every spawned worker, where the second raw
+    # coverage block kills it: the dim-15 bitmap (1.79 MB) is two blocks.
+    script = tmp_path / "dies_mid_stream.py"
+    script.write_text(textwrap.dedent("""
+        import multiprocessing as mp
+        import os
+        import sys
+        from multiprocessing.connection import Connection
+        import numpy as np
+        from capset.errors import CapsetError
+        from capset.f3core import PointSet
+        from capset.sweep import SweepTask, run_sweep
+
+        send_bytes = Connection.send_bytes
+        calls = []
+
+        def dying_send_bytes(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                os._exit(3)
+            return send_bytes(self, *args, **kwargs)
+
+        Connection.send_bytes = dying_send_bytes
+
+        if __name__ == "__main__":
+            ranks = np.random.default_rng(7).choice(3**15, 60, replace=False)
+            try:
+                run_sweep(SweepTask(PointSet(15, ranks), "coverage", chunk_pairs=100, threads=2))
+            except CapsetError as e:
+                print(type(e).__name__, len(mp.active_children()))
+                sys.exit(2)
+    """))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
+    res = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (res.stdout.strip(), res.returncode) == ("WorkerError 0", 2), res.stderr
+
+
 def test_tiny_sets_short_circuit():
     for pts in ([], [(0, 1)]):
         s = PointSet.from_points(pts, dim=2)
