@@ -8,11 +8,14 @@ either point of its pair, so a set is a cap iff its coverage marks none of its
 own ranks: coverage mode checks that once, after the merge, and only when it
 fails runs the early-exit cap sweep to find the canonical violation.
 
-The kernel splits each rank into base-3 digit groups of width at most 5 and
-uses per-group "negated digit sum" lookup tables scaled by the group's place
-value, so the third-point ranks of an anchor against a whole partner array
-are one row gather per group and adds. The verifiers use the same kernel for
-their cross-set checks, with partners from a second set.
+The kernel splits each rank into as few base-3 digit groups of width at most
+8 as the dimension allows (two at dimensions 9-16). For each group it keeps
+the anchor's row of "negated digit sums" scaled by the group's place value,
+built from two small half-width tables only when the anchor's group value
+changes, so the third-point ranks of an anchor against a whole partner array
+are one gather per group and adds, returned as intp indices. The verifiers
+use the same kernel for their cross-set checks, with partners from a second
+set.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
@@ -115,49 +118,79 @@ class SweepOutcome:
     pairs_examined: int
 
 
+def _negadd_table(width: int, shift: int) -> np.ndarray:
+    """Negated digit sums of every pair of width-digit values, times 3^shift."""
+    x = np.arange(POW3[width], dtype=np.int64)
+    table = np.zeros((x.size, x.size), dtype=np.int64)
+    for i in range(width):
+        di = (x // POW3[i]) % 3
+        table += ((-(di[:, None] + di[None, :])) % 3) * POW3[i]
+    return table * POW3[shift]
+
+
 class _Kernel:
     """Third-point ranks of one anchor against a fixed array of partner ranks.
 
-    Works at every dimension whose ranks fit int64 (up to 39). The arrays
-    returned by thirds() are reused by the next call.
+    A rank splits into base-3 digit groups of width at most 8, as few as
+    possible, the wider ones most significant: one group up to dimension 8,
+    two up to 16 (dimension 15 splits 8 + 7), three up to 24, five at 39.
+    A group's row holds the negated digit sum of the anchor's group value
+    with every group value, times the group's place value: one broadcast add
+    of two half-width tables (at most 81 x 81), kept while the anchor's group
+    value repeats. Anchors come in ascending order, so the high rows are
+    rebuilt rarely. The thirds are one gather of intp partner digits per group
+    and adds in int32 (int64 above dimension 19), the last add into an intp
+    buffer, so the scatters and gathers that use them index without a cast.
+    Works at every dimension whose ranks fit int64 (up to 39). The array
+    returned by thirds() is reused by the next call.
     """
 
     def __init__(self, partners: np.ndarray, dim: int):
         self.partners = np.asarray(partners, dtype=np.int64)
-        self.dtype = np.int32 if POW3[dim] < 2**31 else np.int64
-        self.groups = []  # (place value, group size, partner digits, table), most significant first
+        count = -(-dim // 8)
+        # a single group gathers straight into the intp output
+        dtype = np.int32 if count > 1 and POW3[dim] < 2**31 else np.intp
+        self.groups = []  # (place value, group size, low half size, high table, low table, row)
+        self.digits = []  # intp partner digits of each group, most significant first
         shift = dim
-        while shift > 0:
-            width = min(5, shift)
+        for g in range(count):
+            width = dim // count + (g < dim % count)
+            low = width // 2
             shift -= width
-            size = POW3[width]
-            digits = ((self.partners // POW3[shift]) % size).astype(self.dtype)
-            self.groups.append((POW3[shift], size, digits, self._negadd_table(width, shift)))
-        self._out = np.empty(self.partners.size, self.dtype)
-        self._tmp = np.empty(self.partners.size, self.dtype)
+            high_table = _negadd_table(width - low, shift + low).astype(dtype)
+            low_table = _negadd_table(low, shift).astype(dtype)
+            row = np.empty(POW3[width], dtype)
+            self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table, row))
+            self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
+        self._values = [-1] * count  # anchor group value each row was built for
+        self._out = np.empty(self.partners.size, np.intp)
+        self._acc = np.empty(self.partners.size, dtype)
+        self._tmp = np.empty(self.partners.size, dtype)
 
-    def _negadd_table(self, width: int, shift: int) -> np.ndarray:
-        size = POW3[width]
-        x = np.arange(size, dtype=np.int64)
-        table = np.zeros((size, size), dtype=np.int64)
-        for i in range(width):
-            di = (x // POW3[i]) % 3
-            table += ((-(di[:, None] + di[None, :])) % 3) * POW3[i]
-        return (table * POW3[shift]).astype(self.dtype)
+    def _rows(self, anchor: int) -> list[np.ndarray]:
+        for g, (place, size, low_size, high_table, low_table, row) in enumerate(self.groups):
+            value = anchor // place % size
+            if value != self._values[g]:
+                np.add(high_table[value // low_size, :, None], low_table[value % low_size],
+                       out=row.reshape(-1, low_size))
+                self._values[g] = value
+        return [group[-1] for group in self.groups]
 
     def thirds(self, anchor: int, start: int = 0) -> np.ndarray:
-        """Ranks of -(anchor + p) for each partner p in partners[start:]."""
-        anchor = int(anchor)
+        """Ranks of -(anchor + p) for each partner p in partners[start:], as intp."""
         out = self._out[: self.partners.size - start]
+        acc = self._acc[: out.size]
         tmp = self._tmp[: out.size]
-        for g, (place, size, digits, table) in enumerate(self.groups):
-            row = table[(anchor // place) % size]
-            if g == 0:
-                np.take(row, digits[start:], out=out)
-            else:
-                np.take(row, digits[start:], out=tmp)
-                out += tmp
-        return out
+        rows = self._rows(int(anchor))
+        digits = [d[start:] for d in self.digits]
+        if len(rows) == 1:
+            return np.take(rows[0], digits[0], out=out)
+        np.take(rows[0], digits[0], out=acc)
+        for g in range(1, len(rows) - 1):
+            np.take(rows[g], digits[g], out=tmp)
+            acc += tmp
+        np.take(rows[-1], digits[-1], out=tmp)
+        return np.add(acc, tmp, out=out)
 
     def hits(self, anchor: int, target: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Partner and target indices of the pairs whose third point is in target.

@@ -20,6 +20,7 @@ from capset.sweep import (
     pair_index,
     pairs_before_anchor,
     pairs_total,
+    _Kernel,
     resolve_threads,
     run_sweep,
 )
@@ -44,6 +45,60 @@ def brute_force_first_violation(s):
 def brute_force_coverage(s):
     pts = list(s.points())
     return {rank(third_point(p, q)) for p, q in itertools.combinations(pts, 2)}
+
+
+# --- pair kernel ---------------------------------------------------------------
+
+
+def kernel_ranks(dim, seed):
+    """Sorted distinct ranks: random ones plus a run of consecutive ranks,
+    whose anchors share every digit group but the lowest."""
+    rng = np.random.default_rng(seed)
+    spread = rng.integers(0, POW3[dim], 40, dtype=np.int64)
+    base = int(rng.integers(0, POW3[dim] - min(POW3[dim], 12) + 1))
+    run = np.arange(base, base + min(POW3[dim], 12), dtype=np.int64)
+    return np.unique(np.concatenate([spread, run]))
+
+
+def coordinate_thirds(ranks, dim, i, start):
+    """Ranks of -(x + y) for anchor ranks[i] and partners ranks[start:], by coordinates."""
+    place = np.array(POW3[:dim], dtype=np.int64)
+    coords = ranks[:, None] // place % 3
+    return ((-(coords[i] + coords[start:])) % 3 * place).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", range(1, 40))
+def test_kernel_thirds_match_coordinate_arithmetic(dim):
+    # dims 1-39 cross every group-count boundary: 8/9, 16/17, 24/25, 32/33
+    ranks = kernel_ranks(dim, dim)
+    m = ranks.size
+    rng = np.random.default_rng(1000 + dim)
+    kernel = _Kernel(ranks, dim)
+    calls = [(i, i + 1) for i in range(m)]  # ascending anchors, the last with no partner
+    calls += [(int(rng.integers(m)), int(rng.integers(m + 1))) for _ in range(30)]
+    calls += [(m // 2, 0), (m // 2, 0), (m - 1, m)]  # a repeated anchor; an empty tail
+    for i, start in calls:
+        got = kernel.thirds(ranks[i], start)
+        assert np.array_equal(got, coordinate_thirds(ranks, dim, i, start)), (i, start)
+
+
+@pytest.mark.parametrize("dim", [5, 15, 21, 39])
+def test_kernel_hits_match_isin(dim):
+    ranks = kernel_ranks(dim, 2 * dim)
+    rng = np.random.default_rng(dim)
+    thirds = coordinate_thirds(ranks, dim, 0, 1)
+    picked = rng.choice(thirds, thirds.size // 2, replace=False)
+    target = np.unique(np.concatenate([picked, rng.integers(0, POW3[dim], 20, dtype=np.int64)]))
+    kernel = _Kernel(ranks, dim)
+    for i in range(ranks.size):
+        for start in (0, i + 1):
+            thirds = coordinate_thirds(ranks, dim, i, start)
+            found = np.flatnonzero(np.isin(thirds, target))
+            js, ks = kernel.hits(ranks[i], target, start)
+            assert np.array_equal(js, found + start)
+            assert np.array_equal(target[ks], thirds[found])
+    js, ks = kernel.hits(ranks[0], target[:0])
+    assert js.size == ks.size == 0
 
 
 # --- pair index bookkeeping --------------------------------------------------
