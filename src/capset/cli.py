@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .capfile import read_capset, write_capset
-from .constructions import preset_ag6_112, preset_ag15_inputs, preset_ag15_reports, five_block, five_block_reports
+from .constructions import preset_ag6_112, preset_ag15_inputs, preset_ag15_reports, five_block
 from .errors import CapsetError, PreconditionError
 from .expr import evaluate
 from .f3core import Point, PointSet, unrank

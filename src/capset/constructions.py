@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, PreconditionError, SeedError
-from .f3core import POW3, PointSet, coords_from_ranks, neg_ranks, ranks_from_coords, unrank
+from .f3core import POW3, PointSet, neg_ranks, ranks_from_coords, unrank
 from . import verifiers
 from .verifiers import VerifyReport
 

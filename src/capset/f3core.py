@@ -214,14 +214,6 @@ class SpaceBitmap:
     def count(self) -> int:
         return int(np.bitwise_count(self.buf).sum())
 
-    def or_inplace(self, other: "SpaceBitmap") -> None:
-        if other.dim != self.dim:
-            raise DimensionError("bitmap dimensions differ")
-        np.bitwise_or(self.buf, other.buf, out=self.buf)
-
-    def copy(self) -> "SpaceBitmap":
-        return SpaceBitmap(self.dim, self.buf.copy())
-
     def missing_ranks(self) -> Iterator[np.ndarray]:
         """Ascending arrays of the clear ranks, one per SCAN_BLOCK_BYTES block that has any."""
         for lo in range(0, self.buf.size, SCAN_BLOCK_BYTES):

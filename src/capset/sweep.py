@@ -2,11 +2,14 @@
 
 For every unordered pair of distinct members the sweep computes the third
 point of their line in packed rank form. In cap mode it tests that point for
-membership and stops at the first member it meets; in coverage mode it only
-marks the point in a coverage bitmap (completeness). A third point is never
-either point of its pair, so a set is a cap iff its coverage marks none of its
-own ranks: coverage mode checks that once, after the merge, and only when it
-fails runs the early-exit cap sweep to find the canonical violation.
+membership and stops at the first member it meets: a gather from the member
+bitmap up to MAX_BITMAP_DIM, a binary search in the sorted ranks above it, so
+cap mode runs at every dimension whose ranks fit int64 (up to 39). In
+coverage mode it only marks the point in a coverage bitmap (completeness),
+which needs all 3^dim bits and so stops at MAX_BITMAP_DIM. A third point is
+never either point of its pair, so a set is a cap iff its coverage marks none
+of its own ranks: coverage mode checks that once, after the merge, and only
+when it fails runs the early-exit cap sweep to find the canonical violation.
 
 The kernel splits each rank into as few base-3 digit groups of width at most
 8 as the dimension allows (two at dimensions 9-16). For each group it keeps
@@ -51,6 +54,9 @@ MERGE_BLOCK_BYTES = 1 << 20
 # uint8 coverage scratch of 3^dim bytes is kept only while it fits easily in
 # memory; beyond dim 18 coverage falls back to bit-packed scatter.
 _SCRATCH_DIM_LIMIT = 18
+
+# Least seconds between two progress lines on stderr.
+PROGRESS_INTERVAL = 1.0
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -108,7 +114,6 @@ class SweepTask:
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS
     threads: int | None = None
     progress: bool = False
-    progress_interval: float = 1.0
 
 
 @dataclass
@@ -201,9 +206,8 @@ class _Kernel:
         thirds = self.thirds(anchor, start)
         if target.size == 0:
             return np.empty(0, np.intp), np.empty(0, np.intp)
-        at = np.searchsorted(target, thirds)
-        np.minimum(at, target.size - 1, out=at)
-        found = np.flatnonzero(target[at] == thirds)
+        member, at = _in_sorted(target, thirds)
+        found = np.flatnonzero(member)
         return found + start, at[found]
 
     def tails(self, a0: int, a1: int, progress_cb=None):
@@ -220,6 +224,13 @@ class _Kernel:
             progress_cb(done)
 
 
+def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which values are in the nonempty sorted array target, and where each would sit."""
+    at = np.searchsorted(target, values)
+    np.minimum(at, target.size - 1, out=at)
+    return target[at] == values, at
+
+
 def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
     """Scan the listed chunks in ascending order.
 
@@ -227,6 +238,8 @@ def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
     (None, coverage bitmap). Cap mode returns ((i, j, third rank) of the first
     pair whose third point is a member, None), or (None, None); it stops early
     at a chunk beyond one where another worker already found a violation.
+    Membership is a gather from the member bitmap up to MAX_BITMAP_DIM and a
+    binary search in the sorted ranks above it, where no 3^dim bitmap fits.
     """
     kernel = _Kernel(ranks, dim)
     if mode == "coverage":
@@ -240,12 +253,19 @@ def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
         for thirds in rows:
             cov.set_ranks(thirds)
         return None, cov
-    members = SpaceBitmap.from_ranks(ranks, dim).buf
+    if dim <= MAX_BITMAP_DIM:
+        members = SpaceBitmap.from_ranks(ranks, dim).buf
+
+        def is_member(thirds):
+            return np.take(members, thirds >> 3) & np.take(_BIT8, thirds & 7)
+    else:
+        def is_member(thirds):
+            return _in_sorted(ranks, thirds)[0]
     for idx in indices:
         if stop is not None and stop.value < idx:
             break
         for i, thirds in kernel.tails(*chunks[idx], progress_cb):
-            hit = np.take(members, thirds >> 3) & np.take(_BIT8, thirds & 7)
+            hit = is_member(thirds)
             if hit.any():
                 if stop is not None:
                     with stop.get_lock():
@@ -258,10 +278,9 @@ def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
 class _Progress:
     """Throttled progress lines on stderr."""
 
-    def __init__(self, total: int, enabled: bool, interval: float):
+    def __init__(self, total: int, enabled: bool):
         self.total = total
         self.enabled = enabled
-        self.interval = interval
         self.done = 0
         self.emitted = False
         self._last = time.monotonic()
@@ -274,7 +293,7 @@ class _Progress:
         if not self.enabled:
             return
         now = time.monotonic()
-        if now - self._last >= self.interval:
+        if now - self._last >= PROGRESS_INTERVAL:
             self._last = now
             self.emit(done)
 
@@ -309,11 +328,11 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
     if task.mode not in ("cap", "coverage"):
         raise ValueError(f"unknown sweep mode {task.mode!r}")
     ps = task.points
-    if ps.dim > MAX_BITMAP_DIM:
+    coverage = task.mode == "coverage"
+    if coverage and ps.dim > MAX_BITMAP_DIM:
         raise CapacityError(
             f"dimension {ps.dim} exceeds bitmap capacity {MAX_BITMAP_DIM}"
         )
-    coverage = task.mode == "coverage"
     m = len(ps)
     total = pairs_total(m)
     if m < 2:
@@ -322,7 +341,7 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
 
     chunks = make_chunks(m, task.chunk_pairs)
     workers = min(resolve_threads(task.threads), len(chunks))
-    progress = _Progress(total, task.progress, task.progress_interval)
+    progress = _Progress(total, task.progress)
 
     if workers <= 1:
         first, cov = _scan(ps.ranks, ps.dim, task.mode, chunks, range(len(chunks)), progress.add)

@@ -38,8 +38,6 @@ from .f3core import (
 )
 from .sweep import _Kernel, SweepTask, pair_index, pairs_total, resolve_threads, run_sweep
 
-NAIVE_SIZE_LIMIT = 512
-
 
 @dataclass
 class VerifyReport:
@@ -77,44 +75,27 @@ def _naive_cap_scan(coords: np.ndarray) -> tuple[tuple[int, int, int] | None, in
     return None, count
 
 
-def _sorted_cap_scan(s: PointSet) -> tuple[tuple[int, int, int] | None, int]:
-    """First pair in canonical order whose third point is a member.
-
-    Membership is a binary search in the sorted ranks, so this works at every
-    dimension. Returns the member indices (i, j, third) and the pairs examined.
-    """
-    m = len(s)
-    kernel = _Kernel(s.ranks, s.dim)
-    for i in range(m - 1):
-        js, ks = kernel.hits(s.ranks[i], s.ranks, i + 1)
-        if js.size:
-            j = int(js[0])
-            return (i, j, int(ks[0])), pair_index(m, i, j) + 1
-    return None, pairs_total(m)
-
-
 def is_cap(
     s: PointSet,
-    mode: str = "auto",
+    mode: str = "fast",
     threads: int | None = None,
     progress: bool = False,
 ) -> VerifyReport:
     """No three distinct members sum to zero coordinatewise.
 
-    "auto" runs the triple-scan oracle on sets of at most NAIVE_SIZE_LIMIT
-    points and the pair sweep on larger ones; above MAX_BITMAP_DIM the pair
-    scan tests membership by binary search in the sorted ranks instead of a
-    bitmap, on one worker.
+    "fast" runs the pair sweep at every dimension up to 39 and counts pairs.
+    "naive" runs the triple-scan oracle, which shares no code with the sweep,
+    on one worker and counts triples. Both report the lexicographically first
+    collinear triple: its first two points are the first pair in canonical
+    order whose third point is a member.
     """
     t0 = time.perf_counter()
-    if mode == "auto":
-        mode = "naive" if len(s) <= NAIVE_SIZE_LIMIT else "fast"
-    if mode not in ("naive", "fast"):
-        raise ValueError(f"unknown is_cap mode {mode!r}")
-    if mode == "naive" or s.dim > MAX_BITMAP_DIM:
-        hit, count = _naive_cap_scan(s.coords()) if mode == "naive" else _sorted_cap_scan(s)
+    if mode == "naive":
+        hit, count = _naive_cap_scan(s.coords())
         witness = tuple(s.point(i) for i in hit) if hit is not None else None
         return _report("cap", hit is None, witness, count, t0)
+    if mode != "fast":
+        raise ValueError(f"unknown is_cap mode {mode!r}")
     outcome = run_sweep(SweepTask(points=s, mode="cap", threads=threads, progress=progress))
     witness = None
     if outcome.violation is not None:

@@ -317,25 +317,6 @@ def test_bitmap_first_missing():
     assert np.array_equal(np.concatenate(list(sparse.missing_ranks())), clear)
 
 
-def test_bitmap_or_merge_and_copy():
-    rng = np.random.default_rng(0x0E0E)
-    a_ranks = rng.choice(POW3[6], size=100, replace=False).astype(np.int64)
-    b_ranks = rng.choice(POW3[6], size=100, replace=False).astype(np.int64)
-    a = SpaceBitmap(6)
-    a.set_ranks(a_ranks)
-    b = SpaceBitmap(6)
-    b.set_ranks(b_ranks)
-    c = a.copy()
-    c.or_inplace(b)
-    expected = set(a_ranks.tolist()) | set(b_ranks.tolist())
-    assert c.count() == len(expected)
-    for r in expected:
-        assert c.test(int(r))
-    # copy() detached: merging into c must not change a
-    assert a.count() == 100
-    assert a != c or np.array_equal(np.sort(a_ranks), np.sort(b_ranks))
-
-
 def test_bitmap_capacity_limit():
     from capset.errors import CapacityError
 

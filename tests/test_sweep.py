@@ -227,8 +227,7 @@ def test_coverage_monotone_under_subset():
         sub = PointSet.from_ranks(np.asarray(s.ranks)[:17], 4)
         big = run_sweep(SweepTask(points=s, mode="coverage")).coverage
         small = run_sweep(SweepTask(points=sub, mode="coverage")).coverage
-        merged = small.copy()
-        merged.or_inplace(big)
+        merged = SpaceBitmap(4, small.buf | big.buf)
         assert merged == big
 
 
@@ -406,7 +405,7 @@ def test_mode_validation():
 def test_capacity_limit():
     s = PointSet.from_ranks([0, 1, 2], 21)
     with pytest.raises(CapacityError):
-        run_sweep(SweepTask(points=s, mode="cap"))
+        run_sweep(SweepTask(points=s, mode="coverage"))
 
 
 def test_resolve_threads(monkeypatch):
@@ -424,7 +423,8 @@ def test_resolve_threads(monkeypatch):
 # --- progress reporting -------------------------------------------------------
 
 
-def test_progress_line_format(capfd):
+def test_progress_line_format(capfd, monkeypatch):
+    monkeypatch.setattr(capset.sweep, "PROGRESS_INTERVAL", 0.0)
     rng = random.Random(0x960)
     s = random_set(rng, 5, 150)
     run_sweep(
@@ -433,7 +433,6 @@ def test_progress_line_format(capfd):
             mode="coverage",
             chunk_pairs=701,
             progress=True,
-            progress_interval=0.0,
         )
     )
     err = capfd.readouterr().err

@@ -5,12 +5,17 @@ import random
 import numpy as np
 import pytest
 
+from capset import verifiers
+from capset.capfile import write_capset
+from capset.cli import main as cli_main
 from capset.constructions import (
     ProjectiveCap,
     gen_B,
     mirror_set,
+    parity_cap,
     preset_ag6_112,
     preset_ag15_inputs,
+    preset_ag15_reports,
     product,
     seed_P,
     six_construction,
@@ -19,10 +24,10 @@ from capset.constructions import (
     unit_pset,
 )
 from capset.errors import CapacityError, DimensionError, PreconditionError
+from capset.expr import evaluate
 from capset.f3core import POW3, PointSet, neg_ranks, rank, support_class, third_point, unrank
-from capset.sweep import pairs_total
+from capset.sweep import SweepTask, pairs_total, run_sweep
 from capset.verifiers import (
-    NAIVE_SIZE_LIMIT,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -101,18 +106,20 @@ def test_naive_witness_is_lexicographically_first():
     # both ((000),(001),(002)) and ((000),(010),(020)) are collinear; the
     # first in (i, j, k) order wins
     assert rep.witness == ((0, 0, 0), (0, 0, 1), (0, 0, 2))
+    # the pair sweep's first violating pair starts the same triple
+    assert is_cap(s).witness == rep.witness
 
 
-def test_auto_mode_switches_on_size():
-    small = product([C112, gen_B(1)])  # 224 points <= limit -> triple scan
-    rep_small = is_cap(small)
+def test_default_mode_counts_pairs_at_every_size():
+    # the default runs the pair sweep on small and large sets alike; the
+    # triple scan runs only on request
+    small = product([C112, gen_B(1)])  # 224 points
+    big = product([C112, gen_B(3)])  # 896 points
+    for s in (small, big):
+        m = len(s)
+        assert is_cap(s).pairs_examined == m * (m - 1) // 2
     m = len(small)
-    assert rep_small.pairs_examined == m * (m - 1) * (m - 2) // 6
-    big = product([C112, gen_B(3)])  # 896 points > limit -> pair sweep
-    rep_big = is_cap(big)
-    m = len(big)
-    assert rep_big.pairs_examined == m * (m - 1) // 2
-    assert len(small) <= NAIVE_SIZE_LIMIT < len(big)
+    assert is_cap(small, mode="naive").pairs_examined == m * (m - 1) * (m - 2) // 6
 
 
 def brute_first_pair(s):
@@ -131,12 +138,11 @@ def brute_first_pair(s):
     return None, pairs_total(m)
 
 
-def test_auto_mode_above_bitmap_dim_scans_pairs():
-    # 896 points in dimension 21: too large for the triple scan, too wide for
-    # the bitmap sweep
+def test_default_mode_above_bitmap_dim_scans_pairs():
+    # 896 points in dimension 21, too wide for a member bitmap
     tail = PointSet.from_points([(1,) * 12])
     base = product([C112, gen_B(3), tail])
-    assert base.dim == 21 and len(base) > NAIVE_SIZE_LIMIT
+    assert base.dim == 21 and len(base) == 896
     rep = is_cap(base)
     assert rep.passed
     assert (None, rep.pairs_examined) == brute_first_pair(base)
@@ -144,6 +150,47 @@ def test_auto_mode_above_bitmap_dim_scans_pairs():
     rep = is_cap(bad)
     assert not rep.passed
     assert (rep.witness, rep.pairs_examined) == brute_first_pair(bad)
+
+
+def test_cap_sweep_above_bitmap_dim_matches_brute_force():
+    # above dimension 20 cap mode finds members by binary search; its
+    # violation and count are the canonical ones for any workers and chunks
+    rng = np.random.default_rng(0x2139)
+    for dim in (21, 39):
+        clean = PointSet.from_ranks(rng.integers(0, POW3[dim], 120), dim)
+        bad = extend(clean, third_point(clean.point(60), clean.point(100)))
+        assert brute_first_pair(clean)[0] is None and brute_first_pair(bad)[0] is not None
+        for s in (clean, bad):
+            expected = brute_first_pair(s)
+            for threads in (1, 2, 3):
+                for chunk_pairs in (7, 500, 10**7):
+                    task = SweepTask(points=s, mode="cap", threads=threads, chunk_pairs=chunk_pairs)
+                    out = run_sweep(task)
+                    witness = tuple(unrank(r, dim) for r in out.violation) if out.violation else None
+                    assert (witness, out.pairs_examined) == expected, (dim, threads, chunk_pairs)
+
+
+class OracleCalled(Exception):
+    pass
+
+
+def test_oracle_runs_only_on_request(monkeypatch, tmp_path):
+    def refuse(coords):
+        raise OracleCalled
+
+    monkeypatch.setattr(verifiers, "_naive_cap_scan", refuse)
+    assert is_pset(P6).passed
+    assert is_complete_pset(P6).passed  # with its is_pset precheck
+    assert parity_cap(P6, "even", check=True) == C112
+    assert len(preset_ag15_reports()) == 29
+    assert len(evaluate("tD(six(P1,P1,P1,P1,P1,P1), even)")) == 112
+    path = str(tmp_path / "p6.caps")
+    write_capset(P6, path)
+    assert cli_main(["verify", path, "--cap", "--pset", "--pset-complete", "--threads", "1"]) == 0
+    with pytest.raises(OracleCalled):
+        is_cap(P6, mode="naive")
+    with pytest.raises(OracleCalled):
+        cli_main(["verify", path, "--naive"])
 
 
 def test_is_cap_rejects_unknown_mode():
