@@ -90,12 +90,14 @@ def _run_checks(
 
     Returns (flag name, report, optional note) triples. Requesting complete
     implies cap; the two share one coverage sweep unless --naive puts the cap
-    check on the triple scan.
+    check on the triple scan. pset and the precheck of pset-complete share one
+    is_pset.
     """
     want = [p for p in _PROPERTIES if p in props or (p == "cap" and "complete" in props)]
     sweep = functools.cache(
         lambda: verifiers.verify_cap_and_complete(s, threads=threads, progress=progress)
     )
+    pset = functools.cache(lambda: verifiers.is_pset(s, threads=threads))
 
     def cap():
         if naive:
@@ -113,7 +115,7 @@ def _run_checks(
 
     def pset_complete():
         t0 = time.perf_counter()
-        pre = verifiers.is_pset(s, threads=threads)
+        pre = pset()
         if not pre.passed:
             note = "P-set completeness is undefined: the set is not a P-set"
             return _failed("complete_pset", pre.witness, t0), note
@@ -122,7 +124,7 @@ def _run_checks(
     checks = {
         "cap": cap,
         "complete": complete,
-        "pset": lambda: (verifiers.is_pset(s, threads=threads), None),
+        "pset": lambda: (pset(), None),
         "saturated": lambda: (verifiers.is_b_saturated(s), None),
         "odd": lambda: (verifiers.is_odd_pset(s), None),
         "pset-complete": pset_complete,

@@ -73,7 +73,3 @@ class ExprNameError(ExprError):
 
 class ExprArityError(ExprError):
     """Operator applied to the wrong number of operands."""
-
-
-class ExprEvalError(ExprError):
-    """A construction failed while evaluating an expression node."""

@@ -379,8 +379,6 @@ def _run_workers(
     try:
         pending = {}
         for part in splits:
-            if part.size == 0:
-                continue
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,

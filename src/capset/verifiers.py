@@ -257,45 +257,41 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
     return _report("complete_pset", True, None, POW3[s.dim] - len(s), t0)
 
 
-_INTERVAL_BLOCK = 1 << 22  # candidate x interval tests per vectorised step
+_INTERVAL_BLOCK = 1 << 22  # mask x interval tests per vectorised step
 
 
-def _outside_intervals(cand: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The masks of cand lying in no subset-lattice interval [lo[k], hi[k]]."""
-    step = max(1, _INTERVAL_BLOCK // max(lo.size, 1))
+def _outside_intervals(cand: np.ndarray, meet: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The masks of cand in no interval [meet[k], complement(diff[k])]."""
+    step = max(1, _INTERVAL_BLOCK // max(meet.size, 1))
     keep = np.ones(cand.size, dtype=bool)
     for k in range(0, cand.size, step):
         c = cand[k : k + step, None]
-        keep[k : k + step] = ~(((c & lo) == lo) & ((c & ~hi) == 0)).any(axis=1)
+        keep[k : k + step] = ~(((c & meet) == meet) & ((c & diff) == 0)).any(axis=1)
     return cand[keep]
 
 
-def _extension_supports(family: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
-    """Zero supports outside the family whose class extends the saturated P-set.
+def _up_closure(family: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks T over dim bits containing some mask of the family, and strictly containing one.
 
-    A support T fails (i) iff its complement contains some A of the family,
-    and is excluded by (ii) with A = B iff T contains some A: both are lookups
-    in the upward closure of the family. The pairs A != B exclude the
-    intervals [A & B, complement of A ^ B]. Returns the surviving supports and
-    the number of candidate supports examined.
+    One pass over the subset lattice: after bit b, T is marked when some
+    family mask equal to T on bits b+1 and above lies inside it.
     """
-    full = (1 << dim) - 1
     up = np.zeros(1 << dim, dtype=bool)
     up[family] = True
+    above = np.zeros_like(up)
     for b in range(dim):
-        halves = up.reshape(-1, 2, 1 << b)
-        halves[:, 1, :] |= halves[:, 0, :]
-    cand = np.flatnonzero(~up & ~up[::-1]).astype(np.int64)
-    rows = max(1, (1 << 16) // max(family.size, 1))
-    for k in range(0, family.size, rows):
-        if cand.size == 0:
-            break
-        a = family[k : k + rows, None]
-        pairs = a != family
-        lo = (a & family)[pairs]
-        hi = (~(a ^ family) & full)[pairs]
-        cand = _outside_intervals(cand, lo, hi)
-    return cand, (1 << dim) - int(family.size)
+        u, a = up.reshape(-1, 2, 1 << b), above.reshape(-1, 2, 1 << b)
+        a[:, 1, :] |= u[:, 0, :]
+        u[:, 1, :] |= u[:, 0, :]
+    return up, above
+
+
+def _support_triple(s: PointSet, zm: np.ndarray, first: int, second: int, third: int) -> tuple[Point, ...]:
+    """Three distinct members with these zero supports, the lowest ranks of each class, in rank order."""
+    i = np.flatnonzero(zm == first)[0]
+    j = np.flatnonzero(zm == second)[int(first == second)]  # next member of a repeated class
+    k = np.flatnonzero(zm == third)[0]
+    return tuple(s.point(int(x)) for x in sorted((i, j, k)))
 
 
 def pset_characterization(s: PointSet) -> VerifyReport:
@@ -304,26 +300,31 @@ def pset_characterization(s: PointSet) -> VerifyReport:
     Checked in order, each failure returning its witness:
 
     1. pairs: every two members share a zero coordinate (witness: the pair);
-    2. triples: all three zero supports are equal, or some pair of the triple
-       shares a zero index at which the remaining point is nonzero (witness:
-       the triple);
-    3. b-saturation: the set holds the whole support class of each member
+    2. b-saturation: the set holds the whole support class of each member
        (witness: a missing point);
-    4. maximality, on the family F of zero supports of the members: every
-       support T outside F fails (i) or (ii), where
+    3. triples, on the family F of member zero supports: (a) F is an
+       antichain and (b) no C in F lies in an interval
+       [A & B, complement(A ^ B)] of supports A != B of F (witness: the
+       lowest-rank members of the failing supports, two of class A when
+       A < C; the count is |F|, the supports tested);
+    4. maximality: every support T outside F fails (i) or (ii), where
        (i)  T meets every A in F, and
        (ii) no A, B in F (A = B allowed) have A & B <= T <= complement(A ^ B);
        for A = B this reads A <= T (witness: the lowest-rank extension point,
        zeros on T and 1 elsewhere).
 
-    Conditions (i) and (ii) are derived here, not quoted from the paper: each
+    Conditions 3 and 4 are derived here, not quoted from the paper: each
     coordinate of a line x + y + z = 0 holds 0, 1 or 3 zeros, never exactly
-    2, so for a saturated P-set a point with support T outside F extends it
-    iff (i) holds (the pair condition) and (ii) holds (no line through two
-    members). Step 4 works on the 2^n supports and the F x F pairs only (an
-    upward closure over the subset lattice, then interval tests of the
-    surviving supports against the pairs A != B); it never enumerates the 3^n
-    points.
+    2, so members with supports A, B, C lie on a line only if A & B, A & C
+    and B & C are equal, and members of one support class lie on no line
+    with each other. On a saturated set every class but the origin's holds
+    two members, so the member triples fail exactly as in (a), from classes
+    A, A, C with A < C, or (b), from three distinct supports (C misses A ^ B
+    iff C & A = C & B). Likewise a point with support T outside F extends
+    the set iff (i) holds (the pair condition) and (ii) holds (no line
+    through two members). Steps 3 and 4 share one upward closure of F over
+    the subset lattice and one table of the intervals of its pairs; neither
+    enumerates members or the 3^n points.
     Dimensions above MAX_BITMAP_DIM raise CapacityError.
     """
     t0 = time.perf_counter()
@@ -331,36 +332,32 @@ def pset_characterization(s: PointSet) -> VerifyReport:
         raise CapacityError(
             f"dimension {s.dim} exceeds bitmap capacity {MAX_BITMAP_DIM}"
         )
-    pair_rep = pset_pair_condition(s)
-    count = pair_rep.pairs_examined
-    if not pair_rep.passed:
-        return _report("characterization", False, pair_rep.witness, count, t0)
+    count = 0
+    for check in (pset_pair_condition, is_b_saturated):
+        rep = check(s)
+        count += rep.pairs_examined
+        if not rep.passed:
+            return _report("characterization", False, rep.witness, count, t0)
     zm = s.zero_masks()
-    m = len(s)
-    for i in range(m - 2):
-        zi = zm[i]
-        for j in range(i + 1, m - 1):
-            zj = zm[j]
-            tail = zm[j + 1 :]
-            ok = (
-                ((zi & zj & ~tail) != 0)
-                | ((zi & tail & ~zj) != 0)
-                | ((zj & tail & ~zi) != 0)
-                | ((zi == zj) & (tail == zi))
-            )
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                k = j + 1 + int(bad[0])
-                count += k - j
-                witness = (s.point(i), s.point(j), s.point(k))
-                return _report("characterization", False, witness, count, t0)
-            count += m - 1 - j
-    sat_rep = is_b_saturated(s)
-    count += sat_rep.pairs_examined
-    if not sat_rep.passed:
-        return _report("characterization", False, sat_rep.witness, count, t0)
-    extending, examined = _extension_supports(np.unique(zm), s.dim)
-    count += examined
+    family = np.unique(zm)
+    count += family.size
+    up, above = _up_closure(family, s.dim)
+    nested = family[above[family]]
+    if nested.size:
+        c = int(nested[0])
+        a = int(family[(family & c) == family][0])
+        return _report("characterization", False, _support_triple(s, zm, a, a, c), count, t0)
+    a, b = np.triu_indices(family.size, 1)
+    meet, diff = family[a] & family[b], family[a] ^ family[b]
+    inside = np.setdiff1d(family, _outside_intervals(family, meet, diff))
+    if inside.size:
+        c = int(inside[0])
+        k = np.flatnonzero(((c & meet) == meet) & ((c & diff) == 0))[0]
+        witness = _support_triple(s, zm, int(family[a[k]]), int(family[b[k]]), c)
+        return _report("characterization", False, witness, count, t0)
+    # (i) fails iff complement(T) contains some A, (ii) with A = B iff T does
+    extending = _outside_intervals(np.flatnonzero(~up & ~up[::-1]), meet, diff)
+    count += (1 << s.dim) - int(family.size)
     if extending.size:
         # the lowest rank in class T has 1 on every coordinate outside T
         weights = np.array(POW3[: s.dim][::-1], dtype=np.int64)

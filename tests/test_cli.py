@@ -110,6 +110,24 @@ def test_verify_pset_flags(tmp_path, capsys):
         assert f"check: {name}" in out
 
 
+@pytest.mark.parametrize("pset", [seed_P(1), gen_B(2)], ids=["pset", "not_pset"])
+def test_verify_pset_and_pset_complete_share_one_is_pset(tmp_path, capsys, monkeypatch, pset):
+    path = caps_file(tmp_path, pset, "s.caps")
+    calls = []
+    is_pset = verifiers.is_pset
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_pset(*args, **kwargs)
+
+    monkeypatch.setattr(verifiers, "is_pset", counted)
+    code, out, _ = run(capsys, "verify", path, "--pset", "--pset-complete")
+    assert len(calls) == 1
+    assert (code, out.count("check: "), out.count("passed: true")) == (
+        (0, 2, 2) if is_pset(pset).passed else (1, 2, 0)
+    )
+
+
 def test_verify_pset_failure(tmp_path, capsys):
     path = caps_file(tmp_path, gen_B(6), "b6.caps")
     code, out, _ = run(capsys, "verify", path, "--pset")

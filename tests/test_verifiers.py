@@ -25,7 +25,17 @@ from capset.constructions import (
 )
 from capset.errors import CapacityError, DimensionError, PreconditionError
 from capset.expr import evaluate
-from capset.f3core import POW3, PointSet, neg_ranks, rank, support_class, third_point, unrank
+from capset.f3core import (
+    POW3,
+    PointSet,
+    coords_from_ranks,
+    neg_ranks,
+    rank,
+    support_class,
+    third_point,
+    unrank,
+    zero_masks,
+)
 from capset.sweep import SweepTask, pairs_total, run_sweep
 from capset.verifiers import (
     check_condition1,
@@ -372,11 +382,52 @@ def test_is_complete_pset_counts():
 # --- characterization -----------------------------------------------------------
 
 
+def member_triple_reference(s):
+    """First member triple (i, j, k), i < j < k, whose zero supports fail the
+    triple condition, or None: the member-level O(m^3) loop that
+    pset_characterization's support-level step 3 must agree with."""
+    zm = s.zero_masks()
+    m = len(s)
+    for i in range(m - 2):
+        zi = zm[i]
+        for j in range(i + 1, m - 1):
+            zj = zm[j]
+            tail = zm[j + 1 :]
+            ok = (
+                ((zi & zj & ~tail) != 0)
+                | ((zi & tail & ~zj) != 0)
+                | ((zj & tail & ~zi) != 0)
+                | ((zi == zj) & (tail == zi))
+            )
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                return i, j, j + 1 + int(bad[0])
+    return None
+
+
+def reference_characterization(s):
+    """pairs, member triples, saturation, then the point scan for maximality."""
+    return (
+        pset_pair_condition(s).passed
+        and member_triple_reference(s) is None
+        and is_b_saturated(s).passed
+        and is_complete_pset(s, precheck=False).passed
+    )
+
+
+def assert_triple_witness(s, witness):
+    # three distinct members whose zero supports fail the triple condition
+    assert len(set(witness)) == 3 and all(p in s for p in witness)
+    sub = PointSet.from_points(list(witness), dim=s.dim)
+    assert member_triple_reference(sub) is not None
+
+
 def test_characterization_on_construction_outputs():
     # On three/six outputs the shape conditions and the verified properties
-    # agree (all true)
+    # agree (all true), and so does the member-level triple reference
     for s in (P3, P6, mirror_set(P6)):
         assert pset_characterization(s).passed
+        assert member_triple_reference(s) is None
         assert is_pset(s).passed
         assert is_b_saturated(s).passed
         assert is_complete_pset(s).passed
@@ -427,6 +478,62 @@ def test_characterization_rejects_unsaturated_set():
     rep = pset_characterization(PointSet.from_points([(0, 1)]))
     assert not rep.passed
     assert rep.witness == ((0, 2),)
+
+
+def test_characterization_matches_member_triple_reference():
+    rng = random.Random(0x7C)
+    space_masks = {d: zero_masks(coords_from_ranks(np.arange(POW3[d]), d)) for d in range(2, 7)}
+    tally = {"triple_fail": 0, "triple_pass": 0, "pass": 0, "unsaturated": 0}
+    for n in range(2400):
+        dim = 2 + n % 5
+        family = [
+            sum(1 << b for b in range(dim) if rng.random() < 0.6)
+            for _ in range(rng.randint(1, 5))
+        ]
+        ranks = np.flatnonzero(np.isin(space_masks[dim], family))
+        s = PointSet.from_ranks(ranks, dim)
+        rep = pset_characterization(s)
+        assert rep.passed == reference_characterization(s), (dim, family)
+        if pset_pair_condition(s).passed:
+            # saturated and pairwise legal: step 3 decides exactly the member loop
+            failed_triples = member_triple_reference(s) is not None
+            assert (not rep.passed and len(rep.witness) == 3) == failed_triples, (dim, family)
+            if failed_triples:
+                assert_triple_witness(s, rep.witness)
+            tally["triple_fail" if failed_triples else "triple_pass"] += 1
+            tally["pass"] += rep.passed
+        if len(s) >= 2:
+            # an unsaturated set: only the overall verdict is compared
+            sub = PointSet.from_ranks(np.delete(ranks, rng.randrange(len(s))), dim)
+            assert pset_characterization(sub).passed == reference_characterization(sub)
+            tally["unsaturated"] += 1
+    assert min(tally.values()) > 100, tally
+
+
+def test_characterization_triple_witnesses():
+    # nested supports {1} < {1,2}: two members of class {1}, one of {1,2}
+    nested = PointSet.from_points([(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (0, 0, 1), (0, 0, 2)])
+    # supports {1,2}, {1,3}, {1,4}: every two meet in {1}, which the third holds
+    star = PointSet.from_ranks(
+        [r for r in range(POW3[4]) if unrank(r, 4)[0] == 0 and unrank(r, 4)[1:].count(0) == 1], 4
+    )
+    for s, supports, witness in (
+        (nested, 2, ((0, 0, 1), (0, 1, 1), (0, 1, 2))),
+        (star, 3, ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))),
+    ):
+        assert is_b_saturated(s).passed and pset_pair_condition(s).passed
+        rep = pset_characterization(s)
+        assert (rep.passed, rep.witness) == (False, witness)
+        assert_triple_witness(s, rep.witness)
+        # count: member pairs, members, then the distinct supports tested
+        assert rep.pairs_examined == pairs_total(len(s)) + len(s) + supports
+
+
+def test_characterization_six_p2_fourfold_under_a_second():
+    s = six_construction(*[seed_P(2)] * 4, P1, P1)
+    assert len(s) == 1280
+    rep = pset_characterization(s)
+    assert rep.passed and rep.elapsed < 1.0
 
 
 def test_characterization_capacity_limit():
