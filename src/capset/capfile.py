@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import FileFormatError
-from .f3core import PointSet
+from .f3core import MAX_RANK_DIM, PointSet
 
 _HEADER_RE = re.compile(rb"^capset/1 n=(0|[1-9][0-9]*) size=(0|[1-9][0-9]*)$")
 
@@ -53,8 +53,8 @@ def read_capset(path: str | os.PathLike) -> PointSet:
         )
     dim = int(m.group(1))
     size = int(m.group(2))
-    if dim < 1:
-        raise FileFormatError("dimension must be >= 1", line=1)
+    if not 1 <= dim <= MAX_RANK_DIM:
+        raise FileFormatError(f"dimension must be in 1..{MAX_RANK_DIM}, got {dim}", line=1)
     body = data[nl + 1 :] if nl >= 0 else b""
 
     stride = dim + 1

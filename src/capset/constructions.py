@@ -17,12 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, PreconditionError, SeedError
-from .f3core import POW3, PointSet, neg_ranks, ranks_from_coords, unrank
+from .f3core import MAX_RANK_DIM as MAX_PRODUCT_DIM, POW3, PointSet, neg_ranks, ranks_from_coords, unrank
 from . import verifiers
 from .verifiers import VerifyReport
-
-# Codec limit: ranks are int64, so products may not exceed this dimension.
-MAX_PRODUCT_DIM = 39
 
 # The ten slot patterns of the six-factor union: P marks a P-set slot, B a
 # no-zero-block slot. Each pattern has exactly three of each, and the ten
@@ -169,8 +166,7 @@ def unit_pset(n: int) -> PointSet:
     """The 2n points with exactly one nonzero coordinate."""
     if n < 2:
         raise DimensionError(f"unit P-set needs dimension >= 2, got {n}")
-    ranks = [c * POW3[n - i] for i in range(1, n + 1) for c in (1, 2)]
-    return PointSet(n, np.array(ranks, dtype=np.int64))
+    return PointSet(n, [c * 3 ** (n - i) for i in range(1, n + 1) for c in (1, 2)])
 
 
 @dataclass(frozen=True)

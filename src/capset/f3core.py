@@ -26,8 +26,9 @@ Point = tuple[int, ...]
 # scalar and streaming paths apply.
 MAX_BITMAP_DIM = 20
 
-# 3^39 is the last power below the int64 ceiling used by the vector codec.
-POW3 = tuple(3**i for i in range(40))
+# 3^39 is the last power below the int64 rank ceiling: no set goes above it.
+MAX_RANK_DIM = 39
+POW3 = tuple(3**i for i in range(MAX_RANK_DIM + 1))
 
 _BIT8 = (1 << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 
@@ -61,8 +62,8 @@ def rank(p: Point) -> int:
 
 def unrank(r: int, dim: int) -> Point:
     """Inverse of rank for the given dimension."""
-    if dim < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dim}")
+    if not 1 <= dim <= MAX_RANK_DIM:
+        raise DimensionError(f"dimension must be in 1..{MAX_RANK_DIM}, got {dim}")
     if not 0 <= r < POW3[dim]:
         raise RankRangeError(f"rank {r} out of range for dimension {dim}")
     coords = []
@@ -246,9 +247,9 @@ class PointSet:
 
     __slots__ = ("dim", "_ranks", "_coords", "_bitmap")
 
-    def __init__(self, dim: int, ranks: np.ndarray, _trusted: bool = False):
-        if dim < 1:
-            raise DimensionError(f"dimension must be >= 1, got {dim}")
+    def __init__(self, dim: int, ranks: np.ndarray | Sequence[int], _trusted: bool = False):
+        if not 1 <= dim <= MAX_RANK_DIM:
+            raise DimensionError(f"dimension must be in 1..{MAX_RANK_DIM}, got {dim}")
         ranks = np.asarray(ranks, dtype=np.int64)
         if not _trusted:
             if ranks.size:
@@ -277,11 +278,11 @@ class PointSet:
             dim = found
         elif dim is None:
             raise DimensionError("dimension required for an empty point set")
-        return cls(dim, np.array([rank(p) for p in pts], dtype=np.int64))
+        return cls(dim, [rank(p) for p in pts])
 
     @classmethod
     def from_ranks(cls, ranks: np.ndarray | Sequence[int], dim: int) -> "PointSet":
-        return cls(dim, np.asarray(ranks, dtype=np.int64))
+        return cls(dim, ranks)
 
     @classmethod
     def empty(cls, dim: int) -> "PointSet":

@@ -13,6 +13,10 @@ SpaceBitmap.missing_ranks, and drop the members from each block by binary
 search in the sorted ranks: the ranks left are the points outside the set on
 no line with two members. Neither copies the coverage or builds a member
 bitmap.
+
+Zero-coordinate tests run once per distinct zero support through
+_in_intervals, never once per member: a mask disjoint from A lies in the
+interval [0, complement(A)]. Members are looked up only to name a failure.
 """
 from __future__ import annotations
 
@@ -166,21 +170,23 @@ def is_complete_cap(s: PointSet, threads: int | None = None, progress: bool = Fa
 
 
 def pset_pair_condition(s: PointSet) -> VerifyReport:
-    """Every two distinct members share a zero coordinate."""
+    """Every two distinct members share a zero coordinate.
+
+    With two or more members, one fails iff its support is disjoint from some
+    member's (an empty support from all); the first to fail has its partner after it.
+    """
     t0 = time.perf_counter()
     zm = s.zero_masks()
     m = len(s)
-    count = 0
-    for i in range(m - 1):
-        bad = (zm[i] & zm[i + 1 :]) == 0
-        if bad.any():
-            j = i + 1 + int(np.flatnonzero(bad)[0])
-            count += j - i
-            return _report(
-                "pset_pair_condition", False, (s.point(i), s.point(j)), count, t0
-            )
-        count += m - 1 - i
-    return _report("pset_pair_condition", True, None, count, t0)
+    family = np.unique(zm)
+    failing = family[_in_intervals(family, np.zeros_like(family), family)] if m > 1 else []
+    bad = np.flatnonzero(np.isin(zm, failing))
+    if bad.size:
+        i = int(bad[0])
+        j = i + 1 + int(np.flatnonzero((zm[i] & zm[i + 1 :]) == 0)[0])
+        witness = (s.point(i), s.point(j))
+        return _report("pset_pair_condition", False, witness, pair_index(m, i, j) + 1, t0)
+    return _report("pset_pair_condition", True, None, pairs_total(m), t0)
 
 
 def is_pset(s: PointSet, threads: int | None = None) -> VerifyReport:
@@ -243,31 +249,28 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
             )
     # without the precheck s may not be a cap; its coverage is exact regardless
     coverage = run_sweep(SweepTask(points=s, mode="coverage", threads=1)).coverage
-    zm = s.zero_masks()
-    step = max(64, (1 << 21) // max(len(s), 1))
+    family = np.unique(s.zero_masks())
     for block in _uncovered_outside(s, coverage):
-        for lo in range(0, block.size, step):
-            cand = block[lo : lo + step]
-            cand_zm = zero_masks(coords_from_ranks(cand, s.dim))
-            hits = np.flatnonzero(((cand_zm[:, None] & zm[None, :]) != 0).all(axis=1))
-            if hits.size:
-                r = int(cand[hits[0]])
-                count = r - int(np.searchsorted(s.ranks, r)) + 1
-                return _report("complete_pset", False, (unrank(r, s.dim),), count, t0)
+        cand_zm = zero_masks(coords_from_ranks(block, s.dim))
+        hits = np.flatnonzero(~_in_intervals(cand_zm, np.zeros_like(family), family))
+        if hits.size:
+            r = int(block[hits[0]])
+            count = r - int(np.searchsorted(s.ranks, r)) + 1
+            return _report("complete_pset", False, (unrank(r, s.dim),), count, t0)
     return _report("complete_pset", True, None, POW3[s.dim] - len(s), t0)
 
 
 _INTERVAL_BLOCK = 1 << 22  # mask x interval tests per vectorised step
 
 
-def _outside_intervals(cand: np.ndarray, meet: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """The masks of cand in no interval [meet[k], complement(diff[k])]."""
+def _in_intervals(cand: np.ndarray, meet: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Whether each mask of cand lies in some interval [meet[k], complement(diff[k])]."""
     step = max(1, _INTERVAL_BLOCK // max(meet.size, 1))
-    keep = np.ones(cand.size, dtype=bool)
+    inside = np.zeros(cand.size, dtype=bool)
     for k in range(0, cand.size, step):
         c = cand[k : k + step, None]
-        keep[k : k + step] = ~(((c & meet) == meet) & ((c & diff) == 0)).any(axis=1)
-    return cand[keep]
+        inside[k : k + step] = (((c & meet) == meet) & ((c & diff) == 0)).any(axis=1)
+    return inside
 
 
 def _up_closure(family: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +302,8 @@ def pset_characterization(s: PointSet) -> VerifyReport:
 
     Checked in order, each failure returning its witness:
 
-    1. pairs: every two members share a zero coordinate (witness: the pair);
+    1. pairs: every two members share a zero coordinate, tested once per
+       distinct support (witness: the first pair);
     2. b-saturation: the set holds the whole support class of each member
        (witness: a missing point);
     3. triples, on the family F of member zero supports: (a) F is an
@@ -349,14 +353,15 @@ def pset_characterization(s: PointSet) -> VerifyReport:
         return _report("characterization", False, _support_triple(s, zm, a, a, c), count, t0)
     a, b = np.triu_indices(family.size, 1)
     meet, diff = family[a] & family[b], family[a] ^ family[b]
-    inside = np.setdiff1d(family, _outside_intervals(family, meet, diff))
+    inside = family[_in_intervals(family, meet, diff)]
     if inside.size:
         c = int(inside[0])
         k = np.flatnonzero(((c & meet) == meet) & ((c & diff) == 0))[0]
         witness = _support_triple(s, zm, int(family[a[k]]), int(family[b[k]]), c)
         return _report("characterization", False, witness, count, t0)
     # (i) fails iff complement(T) contains some A, (ii) with A = B iff T does
-    extending = _outside_intervals(np.flatnonzero(~up & ~up[::-1]), meet, diff)
+    open_supports = np.flatnonzero(~up & ~up[::-1])
+    extending = open_supports[~_in_intervals(open_supports, meet, diff)]
     count += (1 << s.dim) - int(family.size)
     if extending.size:
         # the lowest rank in class T has 1 on every coordinate outside T
@@ -411,22 +416,18 @@ def check_condition2(p1: PointSet, p3: PointSet) -> VerifyReport:
 
 
 def check_condition3(p12: PointSet, p3: PointSet) -> VerifyReport:
-    """Every cross pair shares a zero coordinate."""
+    """Every cross pair shares a zero coordinate, tested on distinct supports."""
     t0 = time.perf_counter()
     _check_dims(p12, p3)
-    zma = p12.zero_masks()
-    zmb = p3.zero_masks()
-    nb = len(p3)
-    count = 0
-    for ix in range(len(p12)):
-        bad = (zma[ix] & zmb) == 0
-        if bad.any():
-            iy = int(np.flatnonzero(bad)[0])
-            count += iy + 1
-            witness = (p12.point(ix), p3.point(iy))
-            return _report("condition3", False, witness, count, t0)
-        count += nb
-    return _report("condition3", True, None, count, t0)
+    zma, zmb = p12.zero_masks(), p3.zero_masks()
+    fa, fb = np.unique(zma), np.unique(zmb)
+    bad = np.flatnonzero(np.isin(zma, fa[_in_intervals(fa, np.zeros_like(fb), fb)]))
+    if bad.size:
+        ix = int(bad[0])
+        iy = int(np.flatnonzero((zma[ix] & zmb) == 0)[0])
+        witness = (p12.point(ix), p3.point(iy))
+        return _report("condition3", False, witness, ix * len(p3) + iy + 1, t0)
+    return _report("condition3", True, None, len(p12) * len(p3), t0)
 
 
 def check_projective_representatives(members: PointSet) -> None:

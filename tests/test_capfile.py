@@ -90,6 +90,16 @@ def test_malformed_files_name_the_line(tmp_path, body, line, needle):
     assert f"line {line}" in str(ei.value)
 
 
+@pytest.mark.parametrize("dim", [40, 45])
+def test_header_above_rank_limit_rejected_before_decoding(tmp_path, dim):
+    # a well-formed body whose ranks would overflow int64
+    path = bad_file(tmp_path, f"capset/1 n={dim} size=1\n{'2' * dim}\n".encode())
+    with pytest.raises(FileFormatError) as ei:
+        read_capset(path)
+    assert ei.value.line == 1
+    assert "1..39" in str(ei.value)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_capset(tmp_path / "nope.caps")

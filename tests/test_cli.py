@@ -182,6 +182,24 @@ def test_verify_bad_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--pset"], ["info"]])
+def test_file_above_rank_limit_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "n40.caps"
+    path.write_bytes(b"capset/1 n=40 size=1\n" + b"2" * 40 + b"\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.splitlines() == ["error: line 1: dimension must be in 1..39, got 40"]
+
+
+@pytest.mark.parametrize("expr", ["units(40)", "units(41)"])
+def test_build_above_rank_limit_exit_2(tmp_path, capsys, expr):
+    path = tmp_path / "u.caps"
+    code, _, err = run(capsys, "build", expr, "-o", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "1..39" in err
+    assert not path.exists()
+
+
 # --- info ----------------------------------------------------------------------
 
 

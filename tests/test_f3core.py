@@ -13,6 +13,7 @@ from capset.errors import (
 )
 from capset.f3core import (
     MAX_BITMAP_DIM,
+    MAX_RANK_DIM,
     POW3,
     SCAN_BLOCK_BYTES,
     PointSet,
@@ -281,6 +282,19 @@ def test_empty_pointset():
     assert len(s) == 0
     assert list(s.points()) == []
     assert s.bitmap().count() == 0
+
+
+def test_pointset_dimension_stops_at_rank_limit():
+    # 3^39 - 1 is the largest rank int64 holds for a whole space
+    top = PointSet.from_ranks([POW3[MAX_RANK_DIM] - 1], MAX_RANK_DIM)
+    assert top.point(0) == (2,) * 39
+    for dim in (MAX_RANK_DIM + 1, 45):
+        with pytest.raises(DimensionError):
+            PointSet.empty(dim)
+        with pytest.raises(DimensionError):
+            PointSet.from_points([(1,) * dim])
+        with pytest.raises(DimensionError):
+            unrank(0, dim)
 
 
 # --- SpaceBitmap -------------------------------------------------------------

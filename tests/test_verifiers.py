@@ -1,4 +1,5 @@
 """Property checkers: caps, completeness, P-set conditions, witnesses."""
+import collections
 import itertools
 import random
 
@@ -31,6 +32,7 @@ from capset.f3core import (
     coords_from_ranks,
     neg_ranks,
     rank,
+    ranks_from_coords,
     support_class,
     third_point,
     unrank,
@@ -536,6 +538,19 @@ def test_characterization_six_p2_fourfold_under_a_second():
     assert rep.passed and rep.elapsed < 1.0
 
 
+def test_pset_checks_on_1228800_point_dim18_set():
+    # three(six(P1^6) x 3) has 300 distinct zero supports, so the zero tests
+    # are 300 x 300 mask tests where a member loop made 1.2M numpy calls
+    s6 = six_construction(*[P1] * 6)
+    s = three_construction(s6, s6, s6)
+    assert (len(s), s.dim) == (1_228_800, 18)
+    assert outcome(pset_pair_condition(s)) == (True, None, 754_974_105_600)
+    rep = pset_characterization(s)
+    assert rep.passed and rep.elapsed < 5.0
+    ones = (1,) * 18
+    assert outcome(pset_pair_condition(extend(s, ones))) == (False, (s.point(0), ones), 577_920)
+
+
 def test_characterization_capacity_limit():
     s = PointSet.from_points([(0,) * 21])
     with pytest.raises(CapacityError):
@@ -598,6 +613,84 @@ def test_condition_checks_reject_mixed_dims():
         check_condition2(P3, P6)
     with pytest.raises(DimensionError):
         check_condition3(P3, P6)
+
+
+# --- zero-support checks against the member loops ------------------------------
+
+
+def pair_condition_reference(s):
+    """The per-member loop pset_pair_condition replaced: the first pair (i, j)
+    in canonical order with disjoint zero supports; (passed, witness, count)."""
+    zm = s.zero_masks()
+    m = len(s)
+    count = 0
+    for i in range(m - 1):
+        bad = (zm[i] & zm[i + 1 :]) == 0
+        if bad.any():
+            j = i + 1 + int(np.flatnonzero(bad)[0])
+            return False, (s.point(i), s.point(j)), count + j - i
+        count += m - 1 - i
+    return True, None, count
+
+
+def condition3_reference(p12, p3):
+    """The per-row loop check_condition3 replaced: the first cross pair (ix, iy)
+    in row order with disjoint zero supports; (passed, witness, count)."""
+    zma, zmb = p12.zero_masks(), p3.zero_masks()
+    for ix in range(len(p12)):
+        bad = np.flatnonzero((zma[ix] & zmb) == 0)
+        if bad.size:
+            iy = int(bad[0])
+            return False, (p12.point(ix), p3.point(iy)), ix * len(p3) + iy + 1
+    return True, None, len(p12) * len(p3)
+
+
+def sparse_zero_set(rng, dim, size, zero_rate):
+    """size random points whose coordinates are 0 with probability zero_rate."""
+    coords = np.array(
+        [[0 if rng.random() < zero_rate else rng.randint(1, 2) for _ in range(dim)] for _ in range(size)],
+        dtype=np.uint8,
+    ).reshape(size, dim)
+    return PointSet.from_ranks(ranks_from_coords(coords), dim)
+
+
+def test_zero_support_checks_match_member_loops():
+    rng = random.Random(0x2E0)
+    space_masks = {d: zero_masks(coords_from_ranks(np.arange(POW3[d]), d)) for d in range(1, 7)}
+    tally = collections.Counter()
+    sets = []
+    for n in range(3000):
+        dim = 1 + n % 6
+        kind = (n // 6) % 4
+        if kind == 0:  # no, one or two members
+            s = random_set(rng, dim, (n // 24) % 3)
+        elif kind == 1:  # members with an empty zero support among random ones
+            extra = random_set(rng, dim, rng.randint(0, min(8, POW3[dim])))
+            s = union_sets([sparse_zero_set(rng, dim, rng.randint(1, 3), 0.0), extra], allow_overlap=True)
+        else:  # drawn from a few supports: saturated, or repeated supports
+            family = [sum(1 << b for b in range(dim) if rng.random() < 0.6) for _ in range(rng.randint(1, 4))]
+            pool = np.flatnonzero(np.isin(space_masks[dim], family))
+            if kind == 3:
+                pool = np.sort(rng.sample(list(pool), rng.randint(1, min(pool.size, 12))))
+            s = PointSet.from_ranks(pool, dim)
+        expected = pair_condition_reference(s)
+        assert outcome(pset_pair_condition(s)) == expected, s.ranks
+        tally["pairs", len(s) >= 2, expected[0]] += 1
+        if n >= 6:  # the set six steps back has the same dimension
+            p12 = sets[-6]
+            expected = condition3_reference(p12, s)
+            assert outcome(check_condition3(p12, s)) == expected, (p12.ranks, s.ranks)
+            tally["condition3", expected[0]] += 1
+        sets.append(s)
+    for dim in (21, 39):
+        for size in (0, 1, 2, 40):
+            for zero_rate in (0.0, 0.3, 0.8):
+                s = sparse_zero_set(rng, dim, size, zero_rate)
+                assert outcome(pset_pair_condition(s)) == pair_condition_reference(s)
+                p12 = sparse_zero_set(rng, dim, 30, 0.8)
+                assert outcome(check_condition3(p12, s)) == condition3_reference(p12, s)
+    # both verdicts of both checks, on sets of two or more members
+    assert min(tally[k] for k in tally if k[:2] != ("pairs", False)) > 150, tally
 
 
 def zero_sum(*points):
