@@ -193,12 +193,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"dim: {s.dim}")
     print(f"size: {len(s)}")
     print("zero-count histogram:")
-    if len(s):
-        zeros = (s.coords() == 0).sum(axis=1)
-        for z in range(s.dim + 1):
-            n = int((zeros == z).sum())
-            if n:
-                print(f"  zeros={z}: {n}")
+    zeros = np.bincount(np.bitwise_count(s.zero_masks()), minlength=s.dim + 1)
+    for z, n in enumerate(zeros.tolist()):
+        if n:
+            print(f"  zeros={z}: {n}")
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, PreconditionError, SeedError
-from .f3core import MAX_RANK_DIM as MAX_PRODUCT_DIM, POW3, PointSet, neg_ranks, ranks_from_coords, unrank
+from .f3core import MAX_RANK_DIM as MAX_PRODUCT_DIM, POW3, PointSet, _class_ranks, neg_ranks, ranks_from_coords, unrank
 from . import verifiers
 from .verifiers import VerifyReport
 
@@ -47,11 +47,7 @@ def gen_B(n: int) -> PointSet:
         raise DimensionError(f"dimension must be >= 1, got {n}")
     if n > MAX_PRODUCT_DIM:
         raise DimensionError(f"dimension {n} exceeds the codec limit {MAX_PRODUCT_DIM}")
-    t = np.arange(1 << n, dtype=np.int64)
-    ranks = np.zeros(1 << n, dtype=np.int64)
-    for pos in range(n):
-        ranks = ranks * 3 + ((t >> (n - 1 - pos)) & 1) + 1
-    return PointSet(n, ranks, _trusted=True)
+    return PointSet(n, _class_ranks(0, n, 1 << n), _trusted=True)
 
 
 def gen_B_parity(n: int, parity: str) -> PointSet:

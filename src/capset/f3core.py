@@ -4,10 +4,13 @@ Points are tuples of trits (0, 1, 2) with coordinate 1 leftmost. Each point
 of dimension n has a rank: its base-3 value with coordinate 1 as the most
 significant digit. Ranks index dense bitmaps over the whole space, which is
 what makes the large exhaustive verifications affordable.
+
+_digit_groups splits a rank into base-3 digit groups of width at most 8: the
+sweep's pair kernel and zero_masks (one table lookup per group) share it.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -121,14 +124,19 @@ def zero_support(p: Point) -> frozenset[int]:
 def support_class(p: Point) -> "PointSet":
     """All points sharing p's zero support, nonzero slots ranging over {1, 2}."""
     _check_point(p)
-    free = [i for i, c in enumerate(p) if c != 0]
-    points = []
-    for values in itertools.product((1, 2), repeat=len(free)):
-        q = list(p)
-        for i, v in zip(free, values):
-            q[i] = v
-        points.append(tuple(q))
-    return PointSet.from_points(points, dim=len(p))
+    mask = sum(1 << i for i, c in enumerate(p) if c == 0)
+    return PointSet(len(p), _class_ranks(mask, len(p), 1 << (len(p) - mask.bit_count())), _trusted=True)
+
+
+def _class_ranks(mask: int, dim: int, count: int) -> np.ndarray:
+    """The first count ranks, ascending, of the points whose zero mask is mask.
+
+    The j-th has 2 on the nonzero places (least significant first) that the
+    bits of j name, and 1 on the others.
+    """
+    free = [POW3[k] for k in range(dim) if not mask >> (dim - 1 - k) & 1]
+    j = np.arange(count, dtype=np.int64)
+    return sum(((1 + (j >> b & 1)) * place for b, place in enumerate(free)), np.zeros(count, np.int64))
 
 
 def mirror_point(p: Point) -> Point:
@@ -160,12 +168,40 @@ def neg_ranks(ranks: np.ndarray | Sequence[int], dim: int) -> np.ndarray:
     return ranks_from_coords((3 - coords.astype(np.int64)) % 3)
 
 
-def zero_masks(coords: np.ndarray) -> np.ndarray:
-    """Per-row bitmask of zero coordinates; bit j set iff coordinate j+1 is 0."""
-    coords = np.asarray(coords)
-    dim = coords.shape[1]
-    weights = (np.int64(1) << np.arange(dim, dtype=np.int64))
-    return (coords == 0).astype(np.int64) @ weights
+def _digit_groups(dim: int) -> list[tuple[int, int]]:
+    """(shift, width) of the fewest base-3 digit groups of width at most 8.
+
+    Wider groups are more significant (dimension 15 splits 8 + 7); a group's
+    value is rank // 3^shift % 3^width.
+    """
+    count = -(-dim // 8)
+    widths = [dim // count + (g < dim % count) for g in range(count)]
+    return [(sum(widths[g + 1 :]), width) for g, width in enumerate(widths)]
+
+
+@functools.cache
+def _zero_mask_tables(dim: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(3^shift, 3^width, zero bits of each group value in place) per digit group; read-only."""
+    tables = []
+    for shift, width in _digit_groups(dim):
+        values = np.arange(POW3[width], dtype=np.int64)
+        # the digit of place value 3^(shift + i) is coordinate dim - shift - i
+        table = sum((values // POW3[i] % 3 == 0) << np.int64(dim - 1 - shift - i) for i in range(width))
+        table.flags.writeable = False
+        tables.append((POW3[shift], POW3[width], table))
+    return tuple(tables)
+
+
+def zero_masks(ranks: np.ndarray | Sequence[int], dim: int) -> np.ndarray:
+    """Per-rank bitmask of zero coordinates, bit j set iff coordinate j+1 is 0.
+
+    The OR of one table gather per digit group, in O(len(ranks)) int64 memory.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    masks = np.zeros(ranks.shape, dtype=np.int64)
+    for place, size, table in _zero_mask_tables(dim):
+        masks |= table[ranks // place % size]
+    return masks
 
 
 class SpaceBitmap:
@@ -302,7 +338,7 @@ class PointSet:
 
     def zero_masks(self) -> np.ndarray:
         """Per-member zero-coordinate bitmasks in rank order."""
-        return zero_masks(self.coords())
+        return zero_masks(self._ranks, self.dim)
 
     def bitmap(self) -> SpaceBitmap:
         """Membership bitmap over the whole space; cached."""

@@ -11,14 +11,15 @@ never either point of its pair, so a set is a cap iff its coverage marks none
 of its own ranks: coverage mode checks that once, after the merge, and only
 when it fails runs the early-exit cap sweep to find the canonical violation.
 
-The kernel splits each rank into as few base-3 digit groups of width at most
-8 as the dimension allows (two at dimensions 9-16). For each group it keeps
-the anchor's row of "negated digit sums" scaled by the group's place value,
-built from two small half-width tables only when the anchor's group value
-changes, so the third-point ranks of an anchor against a whole partner array
-are one gather per group and adds, returned as intp indices. The verifiers
-use the same kernel for their cross-set checks, with partners from a second
-set.
+The kernel splits each rank into the base-3 digit groups of
+f3core._digit_groups, the split f3core.zero_masks also uses: as few groups of
+width at most 8 as the dimension allows (two at dimensions 9-16). For each
+group it keeps the anchor's row of "negated digit sums" scaled by the group's
+place value, built from two small half-width tables only when the anchor's
+group value changes, so the third-point ranks of an anchor against a whole
+partner array are one gather per group and adds, returned as intp indices.
+The verifiers use the same kernel for their cross-set checks, with partners
+from a second set.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
@@ -43,7 +44,7 @@ from multiprocessing.connection import wait as mp_wait
 import numpy as np
 
 from .errors import CapacityError, WorkerError
-from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap
+from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap, _digit_groups
 
 DEFAULT_CHUNK_PAIRS = 10_000_000
 
@@ -136,38 +137,34 @@ def _negadd_table(width: int, shift: int) -> np.ndarray:
 class _Kernel:
     """Third-point ranks of one anchor against a fixed array of partner ranks.
 
-    A rank splits into base-3 digit groups of width at most 8, as few as
-    possible, the wider ones most significant: one group up to dimension 8,
-    two up to 16 (dimension 15 splits 8 + 7), three up to 24, five at 39.
-    A group's row holds the negated digit sum of the anchor's group value
-    with every group value, times the group's place value: one broadcast add
-    of two half-width tables (at most 81 x 81), kept while the anchor's group
-    value repeats. Anchors come in ascending order, so the high rows are
-    rebuilt rarely. The thirds are one gather of intp partner digits per group
-    and adds in int32 (int64 above dimension 19), the last add into an intp
-    buffer, so the scatters and gathers that use them index without a cast.
-    Works at every dimension whose ranks fit int64 (up to 39). The array
-    returned by thirds() is reused by the next call.
+    A rank splits into the base-3 digit groups of f3core._digit_groups (width
+    at most 8, as few as possible, dimension 15 as 8 + 7). A group's row holds
+    the negated digit sum of the anchor's group value with every group value,
+    times the group's place value: one broadcast add of two half-width tables
+    (at most 81 x 81), kept while the anchor's group value repeats. Anchors
+    come in ascending order, so the high rows are rebuilt rarely. The thirds
+    are one gather of intp partner digits per group and adds in int32 (int64
+    above dimension 19), the last add into an intp buffer, so the scatters and
+    gathers that use them index without a cast. Works at every dimension whose
+    ranks fit int64 (up to 39). The array returned by thirds() is reused by
+    the next call.
     """
 
     def __init__(self, partners: np.ndarray, dim: int):
         self.partners = np.asarray(partners, dtype=np.int64)
-        count = -(-dim // 8)
+        split = _digit_groups(dim)
         # a single group gathers straight into the intp output
-        dtype = np.int32 if count > 1 and POW3[dim] < 2**31 else np.intp
+        dtype = np.int32 if len(split) > 1 and POW3[dim] < 2**31 else np.intp
         self.groups = []  # (place value, group size, low half size, high table, low table, row)
         self.digits = []  # intp partner digits of each group, most significant first
-        shift = dim
-        for g in range(count):
-            width = dim // count + (g < dim % count)
+        for shift, width in split:
             low = width // 2
-            shift -= width
             high_table = _negadd_table(width - low, shift + low).astype(dtype)
             low_table = _negadd_table(low, shift).astype(dtype)
             row = np.empty(POW3[width], dtype)
             self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table, row))
             self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
-        self._values = [-1] * count  # anchor group value each row was built for
+        self._values = [-1] * len(split)  # anchor group value each row was built for
         self._out = np.empty(self.partners.size, np.intp)
         self._acc = np.empty(self.partners.size, dtype)
         self._tmp = np.empty(self.partners.size, dtype)

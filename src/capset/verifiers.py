@@ -14,9 +14,10 @@ search in the sorted ranks: the ranks left are the points outside the set on
 no line with two members. Neither copies the coverage or builds a member
 bitmap.
 
-Zero-coordinate tests run once per distinct zero support through
-_in_intervals, never once per member: a mask disjoint from A lies in the
-interval [0, complement(A)]. Members are looked up only to name a failure.
+Zero supports are read from the ranks (f3core.zero_masks, one int64 per
+member), never from a coordinate matrix. Zero tests run once per distinct
+support through _in_intervals, never once per member: a mask disjoint from A
+lies in [0, complement(A)]. Members are looked up only to name a failure.
 """
 from __future__ import annotations
 
@@ -34,9 +35,8 @@ from .f3core import (
     Point,
     PointSet,
     SpaceBitmap,
-    coords_from_ranks,
+    _class_ranks,
     neg_ranks,
-    support_class,
     unrank,
     zero_masks,
 )
@@ -179,7 +179,7 @@ def pset_pair_condition(s: PointSet) -> VerifyReport:
     zm = s.zero_masks()
     m = len(s)
     family = np.unique(zm)
-    failing = family[_in_intervals(family, np.zeros_like(family), family)] if m > 1 else []
+    failing = family[_in_intervals(family, family)] if m > 1 else []
     bad = np.flatnonzero(np.isin(zm, failing))
     if bad.size:
         i = int(bad[0])
@@ -203,7 +203,7 @@ def is_pset(s: PointSet, threads: int | None = None) -> VerifyReport:
 def is_odd_pset(s: PointSet) -> VerifyReport:
     """Every member has an odd number of zero coordinates."""
     t0 = time.perf_counter()
-    zeros = (s.coords() == 0).sum(axis=1)
+    zeros = np.bitwise_count(s.zero_masks())
     bad = np.flatnonzero(zeros % 2 == 0)
     if bad.size:
         i = int(bad[0])
@@ -212,22 +212,26 @@ def is_odd_pset(s: PointSet) -> VerifyReport:
 
 
 def is_b_saturated(s: PointSet) -> VerifyReport:
-    """The full support class of every member lies inside the set."""
+    """The full support class of every member lies inside the set.
+
+    The witness is the lowest-rank point missing from the first short class:
+    one of the class's first count + 1 points in rank order.
+    """
     t0 = time.perf_counter()
     m = len(s)
     if m == 0:
         return _report("b_saturated", True, None, 0, t0)
     zm = s.zero_masks()
-    zeros = (s.coords() == 0).sum(axis=1).astype(np.int64)
-    expected = np.int64(1) << (s.dim - zeros)
+    expected = np.int64(1) << (s.dim - np.bitwise_count(zm).astype(np.int64))
     _, inverse, counts = np.unique(zm, return_inverse=True, return_counts=True)
     bad = np.flatnonzero(counts[inverse] != expected)
     if bad.size:
         i = int(bad[0])
-        member = s.point(i)
-        for q in support_class(member):
-            if q not in s:
-                return _report("b_saturated", False, (q,), i + 1, t0)
+        members = s.ranks[zm == zm[i]]
+        walk = _class_ranks(int(zm[i]), s.dim, members.size + 1)
+        # members are sorted, so the first class point unequal to the member at its index is absent
+        missing = walk[np.argmax(np.append(walk[:-1] != members, True))]
+        return _report("b_saturated", False, (unrank(int(missing), s.dim),), i + 1, t0)
     return _report("b_saturated", True, None, m, t0)
 
 
@@ -251,8 +255,7 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
     coverage = run_sweep(SweepTask(points=s, mode="coverage", threads=1)).coverage
     family = np.unique(s.zero_masks())
     for block in _uncovered_outside(s, coverage):
-        cand_zm = zero_masks(coords_from_ranks(block, s.dim))
-        hits = np.flatnonzero(~_in_intervals(cand_zm, np.zeros_like(family), family))
+        hits = np.flatnonzero(~_in_intervals(zero_masks(block, s.dim), family))
         if hits.size:
             r = int(block[hits[0]])
             count = r - int(np.searchsorted(s.ranks, r)) + 1
@@ -263,13 +266,17 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
 _INTERVAL_BLOCK = 1 << 22  # mask x interval tests per vectorised step
 
 
-def _in_intervals(cand: np.ndarray, meet: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Whether each mask of cand lies in some interval [meet[k], complement(diff[k])]."""
-    step = max(1, _INTERVAL_BLOCK // max(meet.size, 1))
+def _in_intervals(cand: np.ndarray, diff: np.ndarray, meet: np.ndarray | None = None) -> np.ndarray:
+    """Whether each mask of cand lies in some interval [meet[k], complement(diff[k])].
+
+    Without meet the intervals start at 0: the mask is disjoint from some diff[k].
+    """
+    step = max(1, _INTERVAL_BLOCK // max(diff.size, 1))
     inside = np.zeros(cand.size, dtype=bool)
     for k in range(0, cand.size, step):
         c = cand[k : k + step, None]
-        inside[k : k + step] = (((c & meet) == meet) & ((c & diff) == 0)).any(axis=1)
+        hit = (c & diff) == 0
+        inside[k : k + step] = (hit if meet is None else hit & ((c & meet) == meet)).any(axis=1)
     return inside
 
 
@@ -353,7 +360,7 @@ def pset_characterization(s: PointSet) -> VerifyReport:
         return _report("characterization", False, _support_triple(s, zm, a, a, c), count, t0)
     a, b = np.triu_indices(family.size, 1)
     meet, diff = family[a] & family[b], family[a] ^ family[b]
-    inside = family[_in_intervals(family, meet, diff)]
+    inside = family[_in_intervals(family, diff, meet)]
     if inside.size:
         c = int(inside[0])
         k = np.flatnonzero(((c & meet) == meet) & ((c & diff) == 0))[0]
@@ -361,7 +368,7 @@ def pset_characterization(s: PointSet) -> VerifyReport:
         return _report("characterization", False, witness, count, t0)
     # (i) fails iff complement(T) contains some A, (ii) with A = B iff T does
     open_supports = np.flatnonzero(~up & ~up[::-1])
-    extending = open_supports[~_in_intervals(open_supports, meet, diff)]
+    extending = open_supports[~_in_intervals(open_supports, diff, meet)]
     count += (1 << s.dim) - int(family.size)
     if extending.size:
         # the lowest rank in class T has 1 on every coordinate outside T
@@ -421,7 +428,7 @@ def check_condition3(p12: PointSet, p3: PointSet) -> VerifyReport:
     _check_dims(p12, p3)
     zma, zmb = p12.zero_masks(), p3.zero_masks()
     fa, fb = np.unique(zma), np.unique(zmb)
-    bad = np.flatnonzero(np.isin(zma, fa[_in_intervals(fa, np.zeros_like(fb), fb)]))
+    bad = np.flatnonzero(np.isin(zma, fa[_in_intervals(fa, fb)]))
     if bad.size:
         ix = int(bad[0])
         iy = int(np.flatnonzero((zma[ix] & zmb) == 0)[0])

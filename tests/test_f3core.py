@@ -216,12 +216,12 @@ def test_neg_ranks_is_pointwise_negation():
 
 def test_zero_masks_match_zero_support():
     rng = np.random.default_rng(0x2E90)
-    ranks = rng.integers(0, POW3[6], size=50, dtype=np.int64)
-    coords = coords_from_ranks(ranks, 6)
-    masks = zero_masks(coords)
-    for row, mask in zip(coords.tolist(), masks.tolist()):
-        support = {i + 1 for i, c in enumerate(row) if c == 0}
-        assert {i + 1 for i in range(6) if mask >> i & 1} == support
+    for dim in range(1, MAX_RANK_DIM + 1):
+        ranks = np.append(rng.integers(0, POW3[dim], size=50, dtype=np.int64), [0, POW3[dim] - 1])
+        masks = zero_masks(ranks, dim)
+        for r, mask in zip(ranks.tolist(), masks.tolist()):
+            support = zero_support(unrank(r, dim))
+            assert {i + 1 for i in range(dim) if mask >> i & 1} == support
 
 
 # --- PointSet ----------------------------------------------------------------

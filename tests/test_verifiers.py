@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from capset import verifiers
+from capset import f3core, verifiers
 from capset.capfile import write_capset
 from capset.cli import main as cli_main
 from capset.constructions import (
@@ -29,7 +29,6 @@ from capset.expr import evaluate
 from capset.f3core import (
     POW3,
     PointSet,
-    coords_from_ranks,
     neg_ranks,
     rank,
     ranks_from_coords,
@@ -299,6 +298,54 @@ def test_is_b_saturated():
     assert rep.witness == ((0, 2),)  # missing classmate of (0,1)
 
 
+def class_points(p):
+    """p's support class in rank order, enumerated independently of the library."""
+    for values in itertools.product((1, 2), repeat=sum(c != 0 for c in p)):
+        it = iter(values)
+        yield tuple(c and next(it) for c in p)
+
+
+def b_saturated_reference(s):
+    """The support-class loop is_b_saturated replaced: the lowest-rank point
+    missing from the class of the first short member; (passed, witness, count)."""
+    for i, p in enumerate(s.points()):
+        for q in class_points(p):
+            if q not in s:
+                return False, (q,), i + 1
+    return True, None, len(s)
+
+
+def test_b_saturated_names_first_gap_of_the_class():
+    cls = PointSet.from_points(class_points((0, 1, 1, 1)))  # 0111, 0112, 0121, 0122, 0211, ...
+    s = PointSet.from_ranks(np.delete(cls.ranks, [3, 5]), 4)
+    assert outcome(is_b_saturated(s)) == (False, ((0, 1, 2, 2),), 1)
+    rng = random.Random(0xB5A)
+    space_masks = {d: zero_masks(np.arange(POW3[d]), d) for d in range(1, 7)}
+    verdicts = collections.Counter()
+    for n in range(1200):
+        dim = 1 + n % 6
+        family = [sum(1 << b for b in range(dim) if rng.random() < 0.4) for _ in range(rng.randint(1, 4))]
+        pool = np.flatnonzero(np.isin(space_masks[dim], family))
+        drop = rng.sample(range(pool.size), rng.randint(0, min(pool.size, 3)))
+        s = PointSet.from_ranks(np.delete(pool, drop), dim)
+        expected = b_saturated_reference(s)
+        assert outcome(is_b_saturated(s)) == expected, (dim, s.ranks)
+        verdicts[expected[0]] += 1
+    assert min(verdicts[True], verdicts[False]) > 200, verdicts
+
+
+@pytest.mark.parametrize("dim", [20, 39])
+def test_b_saturated_walks_only_the_short_class(dim):
+    ones = (1,) * dim
+    rep = is_b_saturated(PointSet.from_points([ones]))
+    assert outcome(rep) == (False, (ones[:-1] + (2,),), 1)
+    assert rep.elapsed < 1.0
+    cls = PointSet.from_points(class_points((0,) * (dim - 10) + (1,) * 10))  # 1024 points
+    s = PointSet.from_ranks(np.delete(cls.ranks, 700), dim)
+    gap = (0,) * (dim - 10) + tuple(1 + int(b) for b in f"{700:010b}")
+    assert outcome(is_b_saturated(s)) == (False, (gap,), 1)
+
+
 def test_is_complete_pset_positive():
     for s in (P3, P6, seed_P(2)):
         assert is_complete_pset(s).passed
@@ -484,7 +531,7 @@ def test_characterization_rejects_unsaturated_set():
 
 def test_characterization_matches_member_triple_reference():
     rng = random.Random(0x7C)
-    space_masks = {d: zero_masks(coords_from_ranks(np.arange(POW3[d]), d)) for d in range(2, 7)}
+    space_masks = {d: zero_masks(np.arange(POW3[d]), d) for d in range(2, 7)}
     tally = {"triple_fail": 0, "triple_pass": 0, "pass": 0, "unsaturated": 0}
     for n in range(2400):
         dim = 2 + n % 5
@@ -656,7 +703,7 @@ def sparse_zero_set(rng, dim, size, zero_rate):
 
 def test_zero_support_checks_match_member_loops():
     rng = random.Random(0x2E0)
-    space_masks = {d: zero_masks(coords_from_ranks(np.arange(POW3[d]), d)) for d in range(1, 7)}
+    space_masks = {d: zero_masks(np.arange(POW3[d]), d) for d in range(1, 7)}
     tally = collections.Counter()
     sets = []
     for n in range(3000):
@@ -691,6 +738,36 @@ def test_zero_support_checks_match_member_loops():
                 assert outcome(check_condition3(p12, s)) == condition3_reference(p12, s)
     # both verdicts of both checks, on sets of two or more members
     assert min(tally[k] for k in tally if k[:2] != ("pairs", False)) > 150, tally
+
+
+def test_support_checks_build_no_coordinate_matrix(monkeypatch, tmp_path, capsys):
+    bases = [P3, P6, U6, extend(P3, (1, 1, 1)), PointSet.from_points([(0, 1), (1, 0)]),
+             PointSet.from_points([(0, 1, 1)]), PointSet.from_points([(0, 2, 2, 0), (1, 1, 1, 1)])]
+    checks = [pset_pair_condition, is_b_saturated, is_odd_pset, pset_characterization,
+              lambda s: is_complete_pset(s, precheck=False)]
+
+    def run():
+        sets = [PointSet.from_ranks(s.ranks, s.dim) for s in bases]  # nothing cached
+        reports = [outcome(check(s)) for s in sets for check in checks]
+        reports += [outcome(check_condition3(a, b)) for a in sets for b in sets if a.dim == b.dim]
+        reports.append(outcome(is_complete_pset(sets[1])))
+        infos = []
+        for k in range(len(sets)):
+            assert cli_main(["info", str(tmp_path / f"{k}.txt")]) == 0
+            infos.append(capsys.readouterr().out)
+        return reports, infos
+
+    for k, s in enumerate(bases):
+        write_capset(s, tmp_path / f"{k}.txt")
+    expected = run()
+    assert {passed for passed, _, _ in expected[0]} == {True, False}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support check built a coordinate matrix")
+
+    monkeypatch.setattr(PointSet, "coords", refuse)
+    monkeypatch.setattr(f3core, "coords_from_ranks", refuse)
+    assert run() == expected
 
 
 def zero_sum(*points):
