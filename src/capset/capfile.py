@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import FileFormatError
-from .f3core import MAX_RANK_DIM, PointSet
+from .f3core import MAX_RANK_DIM, POW3, PointSet, _digit_groups
 
 _HEADER_RE = re.compile(rb"^capset/1 n=(0|[1-9][0-9]*) size=(0|[1-9][0-9]*)$")
 
@@ -65,12 +65,18 @@ def read_capset(path: str | os.PathLike) -> PointSet:
         if size and not (arr[:, dim] == ord("\n")).all():
             fast = False
         else:
-            digits = arr[:, :dim].astype(np.int64) - ord("0")
-            if size and not ((digits >= 0) & (digits <= 2)).all():
+            digits = arr[:, :dim] - np.uint8(ord("0"))  # a byte below "0" wraps above 2
+            if size and not (digits <= 2).all():
                 fast = False
     if fast:
-        pows = 3 ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        ranks = digits @ pows if size else np.empty(0, dtype=np.int64)
+        # one digit group at a time in uint16 (3^8 < 2^16), then into the int64 ranks
+        ranks = np.zeros(size, dtype=np.int64)
+        for shift, width in _digit_groups(dim):
+            group = np.zeros(size, dtype=np.uint16)
+            for col in range(dim - shift - width, dim - shift):
+                group *= 3
+                group += digits[:, col]
+            ranks += group.astype(np.int64) * POW3[shift]
         if size > 1:
             bad = np.flatnonzero(ranks[1:] <= ranks[:-1])
             if bad.size:

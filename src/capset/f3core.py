@@ -241,7 +241,13 @@ class SpaceBitmap:
             return
         if ranks.min() < 0 or ranks.max() >= self.nbits:
             raise RankRangeError("rank out of range for bitmap")
-        np.bitwise_or.at(self.buf, ranks >> 3, _BIT8[ranks & 7])
+        idx, bits = ranks >> 3, _BIT8[ranks & 7]
+        # a buffered scatter: of several ranks in one byte only the last write
+        # lands, so the bits it dropped are set again one by one
+        self.buf[idx] |= bits
+        lost = (self.buf[idx] & bits) == 0
+        if lost.any():
+            np.bitwise_or.at(self.buf, idx[lost], bits[lost])
 
     def test(self, r: int) -> bool:
         if not 0 <= r < self.nbits:

@@ -6,7 +6,10 @@ membership and stops at the first member it meets: a gather from the member
 bitmap up to MAX_BITMAP_DIM, a binary search in the sorted ranks above it, so
 cap mode runs at every dimension whose ranks fit int64 (up to 39). In
 coverage mode it only marks the point in a coverage bitmap (completeness),
-which needs all 3^dim bits and so stops at MAX_BITMAP_DIM. A third point is
+which needs all 3^dim bits and so stops at MAX_BITMAP_DIM: a byte per point
+up to dimension 18, packed bits above it, where SpaceBitmap.set_ranks
+scatters each anchor's thirds with one buffered OR and sets again the bits
+lost to thirds that share a byte. A third point is
 never either point of its pair, so a set is a cap iff its coverage marks none
 of its own ranks: coverage mode checks that once, after the merge, and only
 when it fails runs the early-exit cap sweep to find the canonical violation.
@@ -25,17 +28,23 @@ Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
 worker owns a private coverage buffer, and the reported violation is the
 minimum in canonical pair order, so outcomes are bit-identical for any number
-of workers. A finished worker sends its first violation, then its packed
-coverage as consecutive raw blocks of MERGE_BLOCK_BYTES, which the parent
-receives into one reusable buffer and ORs into the merged bitmap as they
-arrive. A worker that dies before sending all of this raises WorkerError; on
-any error the workers still running are terminated. The coverage is the one
-source of third points for both completeness checks in the verifiers.
+of workers. Workers are forked (POSIX fork), so they inherit the imported
+modules and the ranks: nothing is imported again or pickled, and a script
+that runs a sweep needs no __main__ guard. A worker ignores SIGINT; the
+parent turns an interrupt into KeyboardInterrupt and terminates the workers.
+A finished worker sends its first violation as one message, then writes its
+packed coverage as raw bytes to the pipe's file descriptor, in slices of
+MERGE_BLOCK_BYTES; the parent reads the stream into one reusable block with
+os.readv and ORs each block into the merged bitmap as it arrives. A worker
+that dies before sending all of this raises WorkerError; on any error the
+workers still running are terminated. The coverage is the one source of
+third points for both completeness checks in the verifiers.
 """
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -308,6 +317,8 @@ class _Progress:
 
 
 def _worker_main(conn, ranks, dim, mode, chunks, indices, stop, counter) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C for the group
+
     def progress_cb(done: int) -> None:
         with counter.get_lock():
             counter.value += done
@@ -315,8 +326,9 @@ def _worker_main(conn, ranks, dim, mode, chunks, indices, stop, counter) -> None
     first, cov = _scan(ranks, dim, mode, chunks, indices, progress_cb, stop)
     conn.send(first)
     if cov is not None:
-        for lo in range(0, cov.buf.size, MERGE_BLOCK_BYTES):
-            conn.send_bytes(cov.buf[lo : lo + MERGE_BLOCK_BYTES])
+        fd, stream = conn.fileno(), memoryview(cov.buf)
+        while stream:
+            stream = stream[os.write(fd, stream[:MERGE_BLOCK_BYTES]) :]
     conn.close()
 
 
@@ -365,11 +377,12 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
 def _run_workers(
     ps: PointSet, mode: str, chunks, workers, progress
 ) -> tuple[tuple[int, int, int] | None, SpaceBitmap | None]:
-    ctx = mp.get_context("spawn")
+    ctx = mp.get_context("fork")
     stop = ctx.Value("q", len(chunks))
     counter = ctx.Value("q", 0)
     splits = np.array_split(np.arange(len(chunks)), workers)
     procs = []
+    # left untouched until the first block arrives, so no worker inherits its pages
     merged: SpaceBitmap | None = SpaceBitmap(ps.dim) if mode == "coverage" else None
     block = np.empty(MERGE_BLOCK_BYTES, np.uint8)
     first: tuple[int, int, int] | None = None
@@ -381,7 +394,7 @@ def _run_workers(
                 target=_worker_main,
                 args=(
                     child_conn,
-                    np.asarray(ps.ranks),
+                    ps.ranks,
                     ps.dim,
                     mode,
                     chunks,
@@ -401,12 +414,18 @@ def _run_workers(
                 try:
                     hit = conn.recv()
                     if merged is not None:
+                        fd = conn.fileno()
                         for lo in range(0, merged.buf.size, MERGE_BLOCK_BYTES):
                             part = merged.buf[lo : lo + MERGE_BLOCK_BYTES]
-                            conn.recv_bytes_into(block)
+                            got = 0
+                            while got < part.size:
+                                n = os.readv(fd, [block[got : part.size]])
+                                if n == 0:
+                                    raise EOFError
+                                got += n
                             np.bitwise_or(part, block[: part.size], out=part)
                 except (EOFError, OSError):
-                    # EOFError between messages, OSError inside a block
+                    # the worker's end of the pipe closed before its whole result
                     proc.join()
                     raise WorkerError(
                         f"sweep worker died before sending its whole result (exit code {proc.exitcode})"

@@ -39,6 +39,17 @@ def test_round_trip_identity(tmp_path):
         assert back == s
 
 
+def test_read_decodes_ranks_in_every_dimension(tmp_path):
+    # lines spelled from Python integers, so the check shares no code with the reader
+    rng = random.Random(0xDEC0)
+    for dim in range(1, 40):
+        ranks = sorted({0, POW3[dim] - 1, *(rng.randrange(POW3[dim]) for _ in range(40))})
+        lines = ["".join(str(r // POW3[dim - 1 - i] % 3) for i in range(dim)) for r in ranks]
+        path = tmp_path / f"d{dim}.caps"
+        path.write_text(f"capset/1 n={dim} size={len(ranks)}\n" + "".join(ln + "\n" for ln in lines))
+        assert read_capset(path) == PointSet.from_ranks(ranks, dim)
+
+
 def test_writes_are_byte_identical(tmp_path):
     s = six_construction(P1, P1, P1, P1, P1, P1)
     a = tmp_path / "a.caps"
@@ -79,6 +90,7 @@ def bad_file(tmp_path, body):
         (b"capset/1 n=2 size=3\n01\n02\n", 4, "size=3"),
         (b"capset/1 n=2 size=1\n01\n02\n", 3, "size=1"),
         (b"capset/1 n=2 size=1\n01\r\n", 2, "characters"),
+        (b"capset/1 n=2 size=2\n01\n0/\n", 3, "invalid character"),
     ],
 )
 def test_malformed_files_name_the_line(tmp_path, body, line, needle):

@@ -1,13 +1,21 @@
 """Command-line interface: subcommands, reports, exit codes."""
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
+import capset
 from capset import verifiers
 from capset.capfile import read_capset, write_capset
 from capset.cli import main
 from capset.constructions import gen_B, preset_ag6_112, seed_P
-from capset.f3core import PointSet
+from capset.f3core import POW3, PointSet
 
 
 def run(capsys, *argv):
@@ -300,6 +308,40 @@ def test_verify_memory_error_and_interrupt_exit_2(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(verifiers, "verify_cap_and_complete", fail)
     code, out, err = run(capsys, "verify", path, "--complete")
     assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_ctrl_c_stops_forked_workers(tmp_path):
+    # a real SIGINT to the whole process group while both workers scan a
+    # dim-19 set: only the parent reports it, and it leaves no process behind
+    path = tmp_path / "dim19.caps"
+    write_capset(PointSet(19, np.random.default_rng(19).choice(POW3[19], 8000, replace=False)), path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "capset.cli", "verify", str(path), "--cap", "--complete", "--threads", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and len(children.read_text().split()) < 2:
+            assert time.monotonic() < deadline, "the sweep workers did not start"
+            time.sleep(0.01)
+        time.sleep(0.2)  # inside the scan, before the first progress line at 1 s
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (2, "error: interrupted\n")
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the group outlived the interrupted verify"
+        time.sleep(0.05)
 
 
 def test_usage_error_exits_2():

@@ -308,6 +308,34 @@ def test_bitmap_set_test_count():
     assert bm.count() == 3
 
 
+def test_set_ranks_matches_unbuffered_or():
+    # several ranks of one byte in one call: the buffered scatter must not drop
+    # a bit (dimensions 19 and 20 add nothing but 145 and 436 MB bitmaps)
+    rng = np.random.default_rng(0x5E7)
+    for dim in range(1, 19):
+        nbits = POW3[dim]
+        nbytes = (nbits + 7) // 8
+        k = min(nbits, 3000)
+        base = rng.integers(0, nbytes, k // 8 + 1) * 8
+        same_byte = (base[:, None] + np.arange(8)).ravel()
+        cases = [
+            rng.integers(0, nbits, k),  # random, with repeats
+            np.sort(rng.integers(0, nbits, k)),
+            rng.permutation(k),  # dense
+            np.repeat(rng.integers(0, nbits, k // 4 + 1), 3),  # duplicates
+            rng.permutation(same_byte[same_byte < nbits]),
+        ]
+        for ranks in cases:
+            before = rng.integers(0, 256, nbytes, dtype=np.uint8)
+            if nbits % 8:
+                before[-1] &= (1 << nbits % 8) - 1  # padding bits stay clear
+            got = SpaceBitmap(dim, before.copy())
+            got.set_ranks(ranks)
+            want = before.copy()
+            np.bitwise_or.at(want, ranks >> 3, (1 << (ranks & 7)).astype(np.uint8))
+            assert np.array_equal(got.buf, want), dim
+
+
 def test_bitmap_first_missing():
     bm = SpaceBitmap(2)
     assert bm.first_missing() == 0

@@ -305,15 +305,19 @@ def test_multi_worker_coverage_reports_canonical_violation():
 
 
 def test_dead_worker_raises_worker_error(tmp_path):
-    # Without a __main__ guard every spawned worker re-runs the script on
-    # import, fails to start a process of its own and exits before sending.
-    script = tmp_path / "no_main_guard.py"
+    # At threads=2 only the forked workers call _scan, and each inherits the
+    # patch that makes it exit before sending anything.
+    script = tmp_path / "dead_workers.py"
     script.write_text(textwrap.dedent("""
+        import os
         import sys
         import numpy as np
+        import capset.sweep
         from capset.errors import CapsetError
         from capset.f3core import PointSet
         from capset.sweep import SweepTask, run_sweep
+
+        capset.sweep._scan = lambda *args: os._exit(3)
 
         ranks = np.random.default_rng(7).choice(243, 60, replace=False)
         try:
@@ -348,29 +352,29 @@ def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs
 
 
 def test_worker_dying_mid_stream_raises_worker_error(tmp_path):
-    # The top level runs again in every spawned worker, where the second raw
-    # coverage block kills it: the dim-15 bitmap (1.79 MB) is two blocks.
+    # Every forked worker inherits the patched os.write, which only the raw
+    # coverage stream calls there (Connection.send keeps the original), and
+    # dies on its second raw block: the dim-15 bitmap (1.79 MB) is two blocks.
     script = tmp_path / "dies_mid_stream.py"
     script.write_text(textwrap.dedent("""
         import multiprocessing as mp
         import os
         import sys
-        from multiprocessing.connection import Connection
         import numpy as np
         from capset.errors import CapsetError
         from capset.f3core import PointSet
         from capset.sweep import SweepTask, run_sweep
 
-        send_bytes = Connection.send_bytes
+        write = os.write
         calls = []
 
-        def dying_send_bytes(self, *args, **kwargs):
+        def dying_write(fd, data):
             calls.append(1)
             if len(calls) == 2:
                 os._exit(3)
-            return send_bytes(self, *args, **kwargs)
+            return write(fd, data)
 
-        Connection.send_bytes = dying_send_bytes
+        os.write = dying_write
 
         if __name__ == "__main__":
             ranks = np.random.default_rng(7).choice(3**15, 60, replace=False)
@@ -385,6 +389,30 @@ def test_worker_dying_mid_stream_raises_worker_error(tmp_path):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
     )
     assert (res.stdout.strip(), res.returncode) == ("WorkerError 0", 2), res.stderr
+
+
+def test_script_without_main_guard_runs_workers(tmp_path):
+    # forked workers do not re-run the script, so it needs no __main__ guard
+    script = tmp_path / "no_main_guard.py"
+    script.write_text(textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from capset.f3core import PointSet
+        from capset.sweep import SweepTask, run_sweep
+
+        ranks = np.random.default_rng(7).choice(243, 60, replace=False)
+        for threads in (1, 2):
+            out = run_sweep(SweepTask(PointSet(5, ranks), "coverage", chunk_pairs=100, threads=threads))
+            print(out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest())
+    """))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
+    res = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    inline, workers = res.stdout.splitlines()
+    assert workers == inline
+    assert inline.split()[-2] == str(pairs_total(60))
 
 
 def test_tiny_sets_short_circuit():

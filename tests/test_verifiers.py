@@ -523,6 +523,29 @@ def test_characterization_rejects_extendable_saturated_psets(points, dim):
     assert rep.witness == is_complete_pset(s).witness
 
 
+def test_characterization_extension_witness_is_lowest_rank_point():
+    # the point scan of is_complete_pset is the reference for the lowest-rank
+    # extension point of saturated P-sets that fail only maximality
+    rng = random.Random(0xE7)
+    space_masks = {d: zero_masks(np.arange(POW3[d]), d) for d in range(2, 10)}
+    checked = 0
+    for n in range(800):
+        dim = 2 + n % 8
+        family = [sum(1 << b for b in range(dim) if rng.random() < 0.7) for _ in range(rng.randint(1, 4))]
+        s = PointSet.from_ranks(np.flatnonzero(np.isin(space_masks[dim], family)), dim)
+        rep = pset_characterization(s)
+        if rep.passed or len(rep.witness) != 1 or not is_pset(s).passed:
+            continue
+        assert rep.witness == is_complete_pset(s).witness, (dim, family)
+        pairs = pset_pair_condition(s).pairs_examined + is_b_saturated(s).pairs_examined
+        assert rep.pairs_examined == pairs + (1 << dim), (dim, family)
+        checked += 1
+    assert checked > 200, checked
+    # {0^20}: every support but the empty and the full one extends it
+    rep = pset_characterization(PointSet(20, [0]))
+    assert (rep.passed, rep.witness, rep.pairs_examined) == (False, ((0,) * 19 + (1,),), 1 + (1 << 20))
+
+
 def test_characterization_rejects_unsaturated_set():
     rep = pset_characterization(PointSet.from_points([(0, 1)]))
     assert not rep.passed
