@@ -55,41 +55,28 @@ def read_capset(path: str | os.PathLike) -> PointSet:
     size = int(m.group(2))
     if not 1 <= dim <= MAX_RANK_DIM:
         raise FileFormatError(f"dimension must be in 1..{MAX_RANK_DIM}, got {dim}", line=1)
-    body = data[nl + 1 :] if nl >= 0 else b""
+    # the point block, read in place: no slice of data, no file-sized mask
+    body = np.frombuffer(data, np.uint8, offset=nl + 1) if nl >= 0 else np.empty(0, np.uint8)
 
     stride = dim + 1
-    fast = len(body) in (size * stride, size * stride - 1 if size else 0)
-    if fast:
-        buf = body if len(body) == size * stride else body + b"\n"
-        arr = np.frombuffer(buf, dtype=np.uint8).reshape(size, stride)
-        if size and not (arr[:, dim] == ord("\n")).all():
-            fast = False
-        else:
-            digits = arr[:, :dim] - np.uint8(ord("0"))  # a byte below "0" wraps above 2
-            if size and not (digits <= 2).all():
-                fast = False
-    if fast:
-        # one digit group at a time in uint16 (3^8 < 2^16), then into the int64 ranks
-        ranks = np.zeros(size, dtype=np.int64)
-        for shift, width in _digit_groups(dim):
-            group = np.zeros(size, dtype=np.uint16)
-            for col in range(dim - shift - width, dim - shift):
-                group *= 3
-                group += digits[:, col]
-            ranks += group.astype(np.int64) * POW3[shift]
+    ranks = None
+    # a missing last newline shortens only the newline column
+    if len(body) in (size * stride, size * stride - 1 if size else 0) and (body[dim::stride] == ord("\n")).all():
+        ranks = _decode_block(body, size, dim)
+    if ranks is not None:
         if size > 1:
             bad = np.flatnonzero(ranks[1:] <= ranks[:-1])
             if bad.size:
                 i = int(bad[0]) + 1
                 raise FileFormatError(
                     "points must be strictly ascending; "
-                    f"{buf[i * stride : i * stride + dim].decode('ascii')!r} does not follow its predecessor",
+                    f"{body[i * stride : i * stride + dim].tobytes().decode('ascii')!r} does not follow its predecessor",
                     line=i + 2,
                 )
         return PointSet(dim, ranks, _trusted=True)
 
     # Slow path: walk line by line so the error names the exact line.
-    lines = body.split(b"\n")
+    lines = data[nl + 1 :].split(b"\n") if nl >= 0 else []
     if lines and lines[-1] == b"":
         lines.pop()
     for i, raw in enumerate(lines):
@@ -107,3 +94,23 @@ def read_capset(path: str | os.PathLike) -> PointSet:
             line=len(lines) + 2,
         )
     raise FileFormatError("malformed point block", line=2)
+
+
+def _decode_block(body: np.ndarray, size: int, dim: int) -> np.ndarray | None:
+    """Ranks of a block of size lines of dim digits, or None if a byte is no digit.
+
+    Reads one strided column at a time: each digit group of f3core._digit_groups
+    accumulates in uint16 (3^8 < 2^16), then goes into the int64 ranks.
+    """
+    stride = dim + 1
+    ranks = np.zeros(size, dtype=np.int64)
+    for shift, width in _digit_groups(dim):
+        group = np.zeros(size, dtype=np.uint16)
+        for col in range(dim - shift - width, dim - shift):
+            digits = body[col::stride] - np.uint8(ord("0"))  # a byte below "0" wraps above 2
+            if (digits > 2).any():
+                return None
+            group *= 3
+            group += digits
+        ranks += group.astype(np.int64) * POW3[shift]
+    return ranks

@@ -27,7 +27,7 @@ class CapacityError(CapsetError):
 
 
 class WorkerError(CapsetError):
-    """A sweep worker process died before sending its result."""
+    """A sweep worker process exited with a nonzero code."""
 
 
 class ConstructionError(CapsetError):

@@ -36,7 +36,8 @@ POW3 = tuple(3**i for i in range(MAX_RANK_DIM + 1))
 _BIT8 = (1 << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 
 # Bitmap bytes per step of SpaceBitmap.missing_ranks (2^19 ranks), which
-# bounds the memory of a completeness scan at any dimension.
+# bounds the memory of a completeness scan at any dimension, and per step of
+# the sweep's packing of its byte scratch.
 SCAN_BLOCK_BYTES = 1 << 16
 
 

@@ -29,19 +29,23 @@ anchor indices; the chunk list does not depend on the worker count, each
 worker owns a private coverage buffer, and the reported violation is the
 minimum in canonical pair order, so outcomes are bit-identical for any number
 of workers. Workers are forked (POSIX fork), so they inherit the imported
-modules and the ranks: nothing is imported again or pickled, and a script
-that runs a sweep needs no __main__ guard. A worker ignores SIGINT; the
-parent turns an interrupt into KeyboardInterrupt and terminates the workers.
-A finished worker sends its first violation as one message, then writes its
-packed coverage as raw bytes to the pipe's file descriptor, in slices of
-MERGE_BLOCK_BYTES; the parent reads the stream into one reusable block with
-os.readv and ORs each block into the merged bitmap as it arrives. A worker
-that dies before sending all of this raises WorkerError; on any error the
-workers still running are terminated. The coverage is the one source of
-third points for both completeness checks in the verifiers.
+modules, the ranks and the cap-mode member bitmap, which the parent builds
+once: nothing is imported again or pickled, and a script that runs a sweep
+needs no __main__ guard. A worker ignores SIGINT; the parent turns an
+interrupt into KeyboardInterrupt and terminates the workers. Before it forks,
+the parent sets up all that a worker writes in shared memory: a zero-filled
+packed coverage row of 3^dim/8 bytes per worker in one anonymous mmap, and
+three int64 hit slots per worker in a RawArray. The parent waits on the
+workers' process sentinels; a worker that exits with a nonzero code raises
+WorkerError, and on any error the workers still running are terminated.
+When all have exited, the parent takes the least hit and ORs the rows.
+Coverage above dimension 18 runs in this process whatever the thread count:
+a second worker there saved no wall time and cost CPU. The coverage is the
+one source of third points for both completeness checks in the verifiers.
 """
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 import signal
@@ -53,13 +57,9 @@ from multiprocessing.connection import wait as mp_wait
 import numpy as np
 
 from .errors import CapacityError, WorkerError
-from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, PointSet, SpaceBitmap, _digit_groups
+from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, SCAN_BLOCK_BYTES, PointSet, SpaceBitmap, _digit_groups
 
 DEFAULT_CHUNK_PAIRS = 10_000_000
-
-# Raw block size of a worker's packed coverage stream: the parent holds one
-# block at a time, not a copy of each worker's 3^dim/8 bytes.
-MERGE_BLOCK_BYTES = 1 << 20
 
 # uint8 coverage scratch of 3^dim bytes is kept only while it fits easily in
 # memory; beyond dim 18 coverage falls back to bit-packed scatter.
@@ -237,31 +237,34 @@ def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return target[at] == values, at
 
 
-def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
+def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, stop=None):
     """Scan the listed chunks in ascending order.
 
-    Coverage mode marks the third point of every pair and returns
-    (None, coverage bitmap). Cap mode returns ((i, j, third rank) of the first
-    pair whose third point is a member, None), or (None, None); it stops early
-    at a chunk beyond one where another worker already found a violation.
-    Membership is a gather from the member bitmap up to MAX_BITMAP_DIM and a
-    binary search in the sorted ranks above it, where no 3^dim bitmap fits.
+    Given a coverage bitmap cover, mark the third point of every pair in it
+    and return None: up to dimension 18 in a private scratch of 3^dim bytes
+    that is packed into cover block by block, above it with
+    SpaceBitmap.set_ranks. Otherwise return (i, j, third rank) of the first
+    pair whose third point is a member, or None; it stops early at a chunk
+    beyond one where another worker already found a violation. Membership is
+    a gather from the packed member bitmap members when one is given (up to
+    MAX_BITMAP_DIM) and a binary search in the sorted ranks otherwise, where
+    no 3^dim bitmap fits.
     """
     kernel = _Kernel(ranks, dim)
-    if mode == "coverage":
+    if cover is not None:
         rows = (t for idx in indices for _, t in kernel.tails(*chunks[idx], progress_cb))
-        if dim <= _SCRATCH_DIM_LIMIT:
-            marks = np.zeros(POW3[dim], np.uint8)
+        if dim > _SCRATCH_DIM_LIMIT:
             for thirds in rows:
-                marks[thirds] = 1
-            return None, SpaceBitmap(dim, np.packbits(marks, bitorder="little"))
-        cov = SpaceBitmap(dim)
+                cover.set_ranks(thirds)
+            return None
+        marks = np.zeros(POW3[dim], np.uint8)
         for thirds in rows:
-            cov.set_ranks(thirds)
-        return None, cov
-    if dim <= MAX_BITMAP_DIM:
-        members = SpaceBitmap.from_ranks(ranks, dim).buf
-
+            marks[thirds] = 1
+        for lo in range(0, cover.buf.size, SCAN_BLOCK_BYTES):
+            block = marks[8 * lo : 8 * (lo + SCAN_BLOCK_BYTES)]
+            cover.buf[lo : lo + SCAN_BLOCK_BYTES] = np.packbits(block, bitorder="little")
+        return None
+    if members is not None:
         def is_member(thirds):
             return np.take(members, thirds >> 3) & np.take(_BIT8, thirds & 7)
     else:
@@ -277,8 +280,8 @@ def _scan(ranks, dim, mode, chunks, indices, progress_cb, stop=None):
                     with stop.get_lock():
                         stop.value = min(stop.value, idx)
                 k = int(np.flatnonzero(hit)[0])
-                return (i, i + 1 + k, int(thirds[k])), None
-    return None, None
+                return i, i + 1 + k, int(thirds[k])
+    return None
 
 
 class _Progress:
@@ -316,20 +319,23 @@ class _Progress:
             self.emit(done)
 
 
-def _worker_main(conn, ranks, dim, mode, chunks, indices, stop, counter) -> None:
+def _worker_main(ranks, dim, chunks, indices, members, row, hit, stop, counter) -> None:
+    """Scan the given chunks in a forked worker.
+
+    Coverage goes into row, this worker's packed row of shared memory; a
+    violation (i, j, third rank) goes into hit, its three shared int64 slots.
+    The parent reads both only after the worker has exited with code 0.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C for the group
 
     def progress_cb(done: int) -> None:
         with counter.get_lock():
             counter.value += done
 
-    first, cov = _scan(ranks, dim, mode, chunks, indices, progress_cb, stop)
-    conn.send(first)
-    if cov is not None:
-        fd, stream = conn.fileno(), memoryview(cov.buf)
-        while stream:
-            stream = stream[os.write(fd, stream[:MERGE_BLOCK_BYTES]) :]
-    conn.close()
+    cover = None if row is None else SpaceBitmap(dim, row)
+    first = _scan(ranks, dim, chunks, indices, progress_cb, cover, members, stop)
+    if first is not None:
+        hit[:] = first
 
 
 def run_sweep(task: SweepTask) -> SweepOutcome:
@@ -350,12 +356,20 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
 
     chunks = make_chunks(m, task.chunk_pairs)
     workers = min(resolve_threads(task.threads), len(chunks))
+    if coverage and ps.dim > _SCRATCH_DIM_LIMIT:
+        # measured on the packed path: two workers took the wall time of one
+        # and more CPU, so this coverage runs here
+        workers = 1
+    members = None
+    if not coverage and ps.dim <= MAX_BITMAP_DIM:
+        members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf
     progress = _Progress(total, task.progress)
 
     if workers <= 1:
-        first, cov = _scan(ps.ranks, ps.dim, task.mode, chunks, range(len(chunks)), progress.add)
+        cov = SpaceBitmap(ps.dim) if coverage else None
+        first = _scan(ps.ranks, ps.dim, chunks, range(len(chunks)), progress.add, cov, members)
     else:
-        first, cov = _run_workers(ps, task.mode, chunks, workers, progress)
+        first, cov = _run_workers(ps, coverage, members, chunks, workers, progress)
 
     if coverage:
         progress.finish(total)
@@ -375,65 +389,34 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
 
 
 def _run_workers(
-    ps: PointSet, mode: str, chunks, workers, progress
+    ps: PointSet, coverage: bool, members, chunks, workers, progress
 ) -> tuple[tuple[int, int, int] | None, SpaceBitmap | None]:
     ctx = mp.get_context("fork")
     stop = ctx.Value("q", len(chunks))
     counter = ctx.Value("q", 0)
+    hits = np.frombuffer(ctx.RawArray("q", 3 * workers), np.int64).reshape(workers, 3)
+    hits[:, 0] = -1  # no violation
+    rows = [None] * workers
+    if coverage:
+        nbytes = (POW3[ps.dim] + 7) // 8
+        rows = np.frombuffer(mmap.mmap(-1, workers * nbytes), np.uint8).reshape(workers, nbytes)
     splits = np.array_split(np.arange(len(chunks)), workers)
     procs = []
-    # left untouched until the first block arrives, so no worker inherits its pages
-    merged: SpaceBitmap | None = SpaceBitmap(ps.dim) if mode == "coverage" else None
-    block = np.empty(MERGE_BLOCK_BYTES, np.uint8)
-    first: tuple[int, int, int] | None = None
     try:
-        pending = {}
-        for part in splits:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
+        for part, row, hit in zip(splits, rows, hits):
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    ps.ranks,
-                    ps.dim,
-                    mode,
-                    chunks,
-                    [int(x) for x in part],
-                    stop,
-                    counter,
-                ),
+                args=(ps.ranks, ps.dim, chunks, [int(x) for x in part], members, row, hit, stop, counter),
             )
             proc.start()
-            child_conn.close()
             procs.append(proc)
-            pending[parent_conn] = proc
+        pending = {proc.sentinel: proc for proc in procs}
         while pending:
-            ready = mp_wait(list(pending), timeout=0.5)
-            for conn in ready:
-                proc = pending.pop(conn)
-                try:
-                    hit = conn.recv()
-                    if merged is not None:
-                        fd = conn.fileno()
-                        for lo in range(0, merged.buf.size, MERGE_BLOCK_BYTES):
-                            part = merged.buf[lo : lo + MERGE_BLOCK_BYTES]
-                            got = 0
-                            while got < part.size:
-                                n = os.readv(fd, [block[got : part.size]])
-                                if n == 0:
-                                    raise EOFError
-                                got += n
-                            np.bitwise_or(part, block[: part.size], out=part)
-                except (EOFError, OSError):
-                    # the worker's end of the pipe closed before its whole result
-                    proc.join()
-                    raise WorkerError(
-                        f"sweep worker died before sending its whole result (exit code {proc.exitcode})"
-                    ) from None
-                finally:
-                    conn.close()
-                if hit is not None and (first is None or hit < first):
-                    first = hit
+            for sentinel in mp_wait(list(pending), timeout=0.5):
+                proc = pending.pop(sentinel)
+                proc.join()
+                if proc.exitcode != 0:
+                    raise WorkerError(f"sweep worker exited with code {proc.exitcode}")
             progress.maybe_emit(int(counter.value))
     except BaseException:
         for proc in procs:
@@ -443,4 +426,6 @@ def _run_workers(
     finally:
         for proc in procs:
             proc.join()
+    first = min((tuple(int(v) for v in hit) for hit in hits if hit[0] >= 0), default=None)
+    merged = SpaceBitmap(ps.dim, np.bitwise_or.reduce(rows)) if coverage else None
     return first, merged

@@ -15,7 +15,7 @@ from capset import verifiers
 from capset.capfile import read_capset, write_capset
 from capset.cli import main
 from capset.constructions import gen_B, preset_ag6_112, seed_P
-from capset.f3core import POW3, PointSet
+from capset.f3core import PointSet
 
 
 def run(capsys, *argv):
@@ -312,9 +312,11 @@ def test_verify_memory_error_and_interrupt_exit_2(tmp_path, capsys, monkeypatch,
 
 def test_ctrl_c_stops_forked_workers(tmp_path):
     # a real SIGINT to the whole process group while both workers scan a
-    # dim-19 set: only the parent reports it, and it leaves no process behind
-    path = tmp_path / "dim19.caps"
-    write_capset(PointSet(19, np.random.default_rng(19).choice(POW3[19], 8000, replace=False)), path)
+    # dim-18 cap (byte coverage, which forks workers): only the parent
+    # reports it, and it leaves no process behind
+    path = tmp_path / "b18.caps"
+    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 12_000, replace=False)
+    write_capset(PointSet(18, ranks), path)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "capset.cli", "verify", str(path), "--cap", "--complete", "--threads", "2"],

@@ -1,4 +1,5 @@
 """Pair-sweep engine: chunking, determinism, coverage, early exit, progress."""
+import hashlib
 import itertools
 import os
 import random
@@ -335,8 +336,8 @@ def test_dead_worker_raises_worker_error(tmp_path):
 
 @pytest.mark.parametrize("dim, size, chunk_pairs", [(4, 30, 40), (19, 300, 5000)])
 def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs):
-    # dim 4: an 11-byte packed bitmap, shorter than one merge block; dim 19:
-    # the bit-packed scatter path, 139 blocks per worker, the last one partial
+    # dim 4: an 11-byte packed bitmap, shorter than one pack block; dim 19:
+    # the bit-packed scatter path, which runs in-process at any thread count
     rng = random.Random(0x5B)
     s = random_set(rng, dim, size)
     p, q = s.point(0), s.point(1)  # a line through two members: a violation
@@ -351,38 +352,83 @@ def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs
         del out
 
 
-def test_worker_dying_mid_stream_raises_worker_error(tmp_path):
-    # Every forked worker inherits the patched os.write, which only the raw
-    # coverage stream calls there (Connection.send keeps the original), and
-    # dies on its second raw block: the dim-15 bitmap (1.79 MB) is two blocks.
-    script = tmp_path / "dies_mid_stream.py"
+@pytest.mark.parametrize("dim", [19, 20])
+def test_packed_coverage_runs_in_process(dim, monkeypatch):
+    # above dimension 18 coverage starts no worker, whatever the thread count
+    s = random_set(random.Random(0x1920 + dim), dim, 60)
+    assert len(make_chunks(len(s), 500)) > 1
+
+    def outcome(threads):
+        out = run_sweep(SweepTask(s, "coverage", chunk_pairs=500, threads=threads))
+        return out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest()
+
+    base = outcome(1)
+    assert base[0] is None  # a cap: no cap sweep follows, which may use workers
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("the coverage sweep started a worker process")
+
+    monkeypatch.setattr(capset.sweep.mp, "get_context", no_workers)
+    assert outcome(2) == base
+
+
+def test_cap_workers_build_no_member_bitmap(monkeypatch):
+    # the parent builds the member bitmap once and the forked workers inherit
+    # it: a worker that builds one exits, which raises WorkerError
+    parent = os.getpid()
+    from_ranks = SpaceBitmap.from_ranks.__func__
+
+    def parent_only(cls, ranks, dim):
+        if os.getpid() != parent:
+            os._exit(3)
+        return from_ranks(cls, ranks, dim)
+
+    monkeypatch.setattr(SpaceBitmap, "from_ranks", classmethod(parent_only))
+    rng = random.Random(0xB17)
+    for dim in (5, 15, 19):
+        s = random_set(rng, dim, 60)
+        p, q = s.point(0), s.point(1)
+        planted = PointSet.from_ranks(list(s.ranks) + [rank(third_point(p, q))], dim)
+        for points in (s, planted):
+            base = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=1))
+            for threads in (2, 3):
+                out = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=threads))
+                assert (out.violation, out.pairs_examined) == (base.violation, base.pairs_examined)
+        assert base.violation is not None
+
+
+def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
+    # Every forked worker inherits the patched _Kernel.thirds and sends itself
+    # SIGKILL after its first call, while it scans; the parent calls thirds
+    # only after its workers have exited, so it passes the pid test.
+    script = tmp_path / "killed_mid_scan.py"
     script.write_text(textwrap.dedent("""
         import multiprocessing as mp
         import os
+        import signal
         import sys
         import numpy as np
         from capset.errors import CapsetError
         from capset.f3core import PointSet
-        from capset.sweep import SweepTask, run_sweep
+        from capset.sweep import SweepTask, _Kernel, run_sweep
 
-        write = os.write
-        calls = []
+        parent = os.getpid()
+        thirds = _Kernel.thirds
 
-        def dying_write(fd, data):
-            calls.append(1)
-            if len(calls) == 2:
-                os._exit(3)
-            return write(fd, data)
+        def dying_thirds(self, anchor, start=0):
+            out = thirds(self, anchor, start)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return out
 
-        os.write = dying_write
+        _Kernel.thirds = dying_thirds
 
-        if __name__ == "__main__":
-            ranks = np.random.default_rng(7).choice(3**15, 60, replace=False)
-            try:
-                run_sweep(SweepTask(PointSet(15, ranks), "coverage", chunk_pairs=100, threads=2))
-            except CapsetError as e:
-                print(type(e).__name__, len(mp.active_children()))
-                sys.exit(2)
+        ranks = np.random.default_rng(7).choice(3**15, 60, replace=False)
+        try:
+            run_sweep(SweepTask(PointSet(15, ranks), "coverage", chunk_pairs=100, threads=2))
+        except CapsetError as e:
+            print(type(e).__name__, len(mp.active_children()))
+            sys.exit(2)
     """))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
     res = subprocess.run(
