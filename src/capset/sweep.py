@@ -8,7 +8,7 @@ cap mode runs at every dimension whose ranks fit int64 (up to 39). In
 coverage mode it only marks the point in a coverage bitmap (completeness),
 which needs all 3^dim bits and so stops at MAX_BITMAP_DIM: a byte per point
 up to dimension 18, packed bits above it, where SpaceBitmap.set_ranks
-scatters each anchor's thirds with one buffered OR and sets again the bits
+scatters each tile of thirds with one buffered OR and sets again the bits
 lost to thirds that share a byte. A third point is
 never either point of its pair, so a set is a cap iff its coverage marks none
 of its own ranks: coverage mode checks that once, after the merge, and only
@@ -16,13 +16,23 @@ when it fails runs the early-exit cap sweep to find the canonical violation.
 
 The kernel splits each rank into the base-3 digit groups of
 f3core._digit_groups, the split f3core.zero_masks also uses: as few groups of
-width at most 8 as the dimension allows (two at dimensions 9-16). For each
-group it keeps the anchor's row of "negated digit sums" scaled by the group's
-place value, built from two small half-width tables only when the anchor's
-group value changes, so the third-point ranks of an anchor against a whole
-partner array are one gather per group and adds, returned as intp indices.
-The verifiers use the same kernel for their cross-set checks, with partners
-from a second set.
+width at most 8 as the dimension allows (two at dimensions 9-16). A group's
+row of "negated digit sums", scaled by the group's place value, is built for
+an anchor from two small half-width tables, so third-point ranks are one
+gather per group and adds, returned as intp indices. The sweep takes the
+anchors of a chunk in blocks: a block is a run of at most 256 consecutive
+anchors that share the value of the top digit group (at dimension 8 and
+below, with one group, the 256 cap alone cuts the blocks). In block order,
+each block meets first itself (the strictly lower triangle of a K x K tile),
+then every later partner in ascending order, in partner-major (partner,
+anchor) tiles of at most 2^16 intp. The top group's part of the thirds is
+one gather per block, shared by its anchors; each lower group gathers whole
+rows of a (3^width, K) table of the K anchors' rows. The K thirds of one
+partner then differ only in the lower groups, so they land in one small
+slab of the coverage scratch or the member bitmap, and the scatter and the
+membership gather stay in cache. The verifiers use the same kernel one
+anchor at a time for their cross-set checks, with partners from a second
+set.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
@@ -67,6 +77,12 @@ _SCRATCH_DIM_LIMIT = 18
 
 # Least seconds between two progress lines on stderr.
 PROGRESS_INTERVAL = 1.0
+
+# Most anchors in one block of the pair kernel, and most items in one of its
+# tiles: 512 KB of intp, so a tile and its temporaries stay in a 2 MB L2
+# (2^16 ran faster than 2^18 on the ag15 subset).
+_BLOCK_ANCHORS = 256
+_TILE_ITEMS = 1 << 16
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -144,48 +160,62 @@ def _negadd_table(width: int, shift: int) -> np.ndarray:
 
 
 class _Kernel:
-    """Third-point ranks of one anchor against a fixed array of partner ranks.
+    """Third-point ranks of anchors against a fixed array of partner ranks.
 
     A rank splits into the base-3 digit groups of f3core._digit_groups (width
     at most 8, as few as possible, dimension 15 as 8 + 7). A group's row holds
-    the negated digit sum of the anchor's group value with every group value,
+    the negated digit sum of an anchor's group value with every group value,
     times the group's place value: one broadcast add of two half-width tables
-    (at most 81 x 81), kept while the anchor's group value repeats. Anchors
-    come in ascending order, so the high rows are rebuilt rarely. The thirds
-    are one gather of intp partner digits per group and adds in int32 (int64
-    above dimension 19), the last add into an intp buffer, so the scatters and
-    gathers that use them index without a cast. Works at every dimension whose
-    ranks fit int64 (up to 39). The array returned by thirds() is reused by
-    the next call.
+    (at most 81 x 81). The thirds are one gather of intp partner digits per
+    group and adds in int32 (int64 above dimension 19), the last add into an
+    intp buffer, so the scatters and gathers that use them index without a
+    cast. Works at every dimension whose ranks fit int64 (up to 39).
+
+    thirds() takes one anchor against a partner tail, keeping a group's row
+    while the anchor's group value repeats; the verifiers' cross-set checks
+    use it. The sweep of the partners against themselves goes by anchor
+    blocks: _blocks cuts a chunk into runs of at most _BLOCK_ANCHORS anchors
+    that share their top group value (any run at dimension 8 and below,
+    where there is one group), and _block_tiles yields the block's thirds,
+    first against itself, then against every later partner in ascending
+    order. A tile is partner-major, tile[p, k] for partner p and anchor k,
+    of at most _TILE_ITEMS intp. The top group's part is one gather per
+    block, shared by its K anchors; each lower group's K rows are stacked as
+    a (3^width, K) table, and one gather of whole rows gives a partner's
+    thirds with all K anchors, which differ only in the lower groups and so
+    fall in one small slab of the space. Arrays returned by thirds() and
+    _block_tiles() are reused by the next call.
     """
 
     def __init__(self, partners: np.ndarray, dim: int):
         self.partners = np.asarray(partners, dtype=np.int64)
         split = _digit_groups(dim)
         # a single group gathers straight into the intp output
-        dtype = np.int32 if len(split) > 1 and POW3[dim] < 2**31 else np.intp
+        self.dtype = np.int32 if len(split) > 1 and POW3[dim] < 2**31 else np.intp
         self.groups = []  # (place value, group size, low half size, high table, low table, row)
         self.digits = []  # intp partner digits of each group, most significant first
         for shift, width in split:
             low = width // 2
-            high_table = _negadd_table(width - low, shift + low).astype(dtype)
-            low_table = _negadd_table(low, shift).astype(dtype)
-            row = np.empty(POW3[width], dtype)
+            high_table = _negadd_table(width - low, shift + low).astype(self.dtype)
+            low_table = _negadd_table(low, shift).astype(self.dtype)
+            row = np.empty(POW3[width], self.dtype)
             self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table, row))
             self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
         self._values = [-1] * len(split)  # anchor group value each row was built for
         self._out = np.empty(self.partners.size, np.intp)
-        self._acc = np.empty(self.partners.size, dtype)
-        self._tmp = np.empty(self.partners.size, dtype)
+        self._acc = np.empty(self.partners.size, self.dtype)
+        self._tmp = np.empty(self.partners.size, self.dtype)
+        self._tiles = None  # the block buffers, made by the first block
 
-    def _rows(self, anchor: int) -> list[np.ndarray]:
-        for g, (place, size, low_size, high_table, low_table, row) in enumerate(self.groups):
+    def _rows(self, anchor: int, count: int | None = None) -> list[np.ndarray]:
+        """The rows of the first count groups (all by default) for one anchor."""
+        for g, (place, size, low_size, high_table, low_table, row) in enumerate(self.groups[:count]):
             value = anchor // place % size
             if value != self._values[g]:
                 np.add(high_table[value // low_size, :, None], low_table[value % low_size],
                        out=row.reshape(-1, low_size))
                 self._values[g] = value
-        return [group[-1] for group in self.groups]
+        return [group[-1] for group in self.groups[:count]]
 
     def thirds(self, anchor: int, start: int = 0) -> np.ndarray:
         """Ranks of -(anchor + p) for each partner p in partners[start:], as intp."""
@@ -216,18 +246,77 @@ class _Kernel:
         found = np.flatnonzero(member)
         return found + start, at[found]
 
-    def tails(self, a0: int, a1: int, progress_cb=None):
-        """Yield (i, thirds of partner i with every later partner), i in [a0, a1)."""
+    def _blocks(self, a0: int, a1: int, progress_cb=None):
+        """Yield the anchor blocks (b0, b1) of the anchors [a0, a1) that have a partner.
+
+        A block ends where the top group value changes, after _BLOCK_ANCHORS
+        anchors, or at a1, so blocks never cross a chunk boundary. The pairs
+        of each block go to progress_cb in sums of at least 2^23, once the
+        caller resumes after it.
+        """
         n = self.partners.size
+        a1 = min(a1, n - 1)
+        if a1 <= a0:
+            return
+        cuts = [a0, a1]
+        if len(self.groups) > 1:
+            top = self.partners[a0:a1] // self.groups[0][0]
+            cuts[1:1] = (np.flatnonzero(top[1:] != top[:-1]) + a0 + 1).tolist()
         done = 0
-        for i in range(a0, min(a1, n - 1)):
-            yield i, self.thirds(self.partners[i], i + 1)
-            done += n - 1 - i
-            if progress_cb is not None and done >= (1 << 23):
-                progress_cb(done)
-                done = 0
+        for s, e in zip(cuts, cuts[1:]):
+            for b0 in range(s, e, _BLOCK_ANCHORS):
+                b1 = min(b0 + _BLOCK_ANCHORS, e)
+                yield b0, b1
+                done += pairs_before_anchor(n, b1) - pairs_before_anchor(n, b0)
+                if progress_cb is not None and done >= (1 << 23):
+                    progress_cb(done)
+                    done = 0
         if progress_cb is not None and done:
             progress_cb(done)
+
+    def _block_tiles(self, b0: int, b1: int):
+        """Yield (j0, tile) for every pair of an anchor in [b0, b1) with a later partner.
+
+        tile[p, k] is the rank of the third point of partners[b0 + k] and
+        partners[j0 + p], as intp. The first tile is the block against itself
+        (j0 = b0, K x K), whose pairs are its strictly lower triangle p > k;
+        the others take the partners [b1, n) in ascending slices of at most
+        _TILE_ITEMS // K rows.
+        """
+        n, size = self.partners.size, b1 - b0
+        shared = len(self.groups) > 1  # the top group, with one value in the block
+        if self._tiles is None:
+            self._tiles = [np.empty(_TILE_ITEMS, t) for t in (np.intp, self.dtype, self.dtype)]
+            self._top = np.empty(n, self.dtype)
+            self._stacks = [np.empty(g[1] * min(_BLOCK_ANCHORS, n), self.dtype) for g in self.groups[shared:]]
+        anchors = self.partners[b0:b1]
+        if shared:
+            np.take(self._rows(int(anchors[0]), 1)[0], self.digits[0][b0:], out=self._top[: n - b0])
+        stacks = []  # the (3^width, K) row table of each lower group
+        for (place, rows, low_size, high_table, low_table, _), buf in zip(self.groups[shared:], self._stacks):
+            value = anchors // place % rows
+            stack = buf[: rows * size].reshape(rows, size)
+            np.add(high_table[:, None, value // low_size], low_table[None, :, value % low_size],
+                   out=stack.reshape(-1, low_size, size))
+            stacks.append(stack)
+        digits = self.digits[shared:]
+
+        def tile(j0: int, j1: int) -> np.ndarray:
+            shape = (j1 - j0, size)
+            out, total, part = (buf[: shape[0] * size].reshape(shape) for buf in self._tiles)
+            # the digits are in range, and mode="clip" spares np.take a buffered copy
+            np.take(stacks[0], digits[0][j0:j1], axis=0, out=total if shared else out, mode="clip")
+            for stack, group_digits in zip(stacks[1:], digits[1:]):
+                np.take(stack, group_digits[j0:j1], axis=0, out=part, mode="clip")
+                total += part
+            if shared:
+                np.add(total, self._top[j0 - b0 : j1 - b0, None], out=out)
+            return out
+
+        yield b0, tile(b0, b1)
+        step = max(1, _TILE_ITEMS // size)
+        for j0 in range(b1, n, step):
+            yield j0, tile(j0, min(j0 + step, n))
 
 
 def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +327,7 @@ def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, stop=None):
-    """Scan the listed chunks in ascending order.
+    """Scan the listed chunks in ascending order, block by block.
 
     Given a coverage bitmap cover, mark the third point of every pair in it
     and return None: up to dimension 18 in a private scratch of 3^dim bytes
@@ -248,17 +337,24 @@ def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, st
     beyond one where another worker already found a violation. Membership is
     a gather from the packed member bitmap members when one is given (up to
     MAX_BITMAP_DIM) and a binary search in the sorted ranks otherwise, where
-    no 3^dim bitmap fits.
+    no 3^dim bitmap fits. The first pair is the least anchor with a hit in
+    its block, then its least partner: the block's own partners come before
+    the later ones, so the scan stops after the first block with a hit.
     """
     kernel = _Kernel(ranks, dim)
     if cover is not None:
-        rows = (t for idx in indices for _, t in kernel.tails(*chunks[idx], progress_cb))
+        tiles = (
+            tile[_below(tile.shape[1])] if j0 == b0 else tile
+            for idx in indices
+            for b0, b1 in kernel._blocks(*chunks[idx], progress_cb)
+            for j0, tile in kernel._block_tiles(b0, b1)
+        )
         if dim > _SCRATCH_DIM_LIMIT:
-            for thirds in rows:
+            for thirds in tiles:
                 cover.set_ranks(thirds)
             return None
         marks = np.zeros(POW3[dim], np.uint8)
-        for thirds in rows:
+        for thirds in tiles:
             marks[thirds] = 1
         for lo in range(0, cover.buf.size, SCAN_BLOCK_BYTES):
             block = marks[8 * lo : 8 * (lo + SCAN_BLOCK_BYTES)]
@@ -273,15 +369,28 @@ def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, st
     for idx in indices:
         if stop is not None and stop.value < idx:
             break
-        for i, thirds in kernel.tails(*chunks[idx], progress_cb):
-            hit = is_member(thirds)
-            if hit.any():
+        for b0, b1 in kernel._blocks(*chunks[idx], progress_cb):
+            first = None
+            for j0, tile in kernel._block_tiles(b0, b1):
+                hit = is_member(tile)
+                if j0 == b0:
+                    hit = np.logical_and(hit, _below(tile.shape[1]))
+                if hit.any():
+                    k = int(np.flatnonzero(hit.any(axis=0))[0])
+                    p = int(np.flatnonzero(hit[:, k])[0])
+                    if first is None or b0 + k < first[0]:
+                        first = (b0 + k, j0 + p, int(tile[p, k]))
+            if first is not None:
                 if stop is not None:
                     with stop.get_lock():
                         stop.value = min(stop.value, idx)
-                k = int(np.flatnonzero(hit)[0])
-                return i, i + 1 + k, int(thirds[k])
+                return first
     return None
+
+
+def _below(size: int) -> np.ndarray:
+    """Mask of the strictly lower triangle of a size x size tile: its pairs p > k."""
+    return np.tri(size, size, -1, dtype=bool)
 
 
 class _Progress:

@@ -315,7 +315,7 @@ def test_ctrl_c_stops_forked_workers(tmp_path):
     # dim-18 cap (byte coverage, which forks workers): only the parent
     # reports it, and it leaves no process behind
     path = tmp_path / "b18.caps"
-    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 12_000, replace=False)
+    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 16_000, replace=False)
     write_capset(PointSet(18, ranks), path)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
     proc = subprocess.Popen(

@@ -13,7 +13,7 @@ import pytest
 
 import capset
 from capset.errors import CapacityError
-from capset.f3core import POW3, PointSet, SpaceBitmap, rank, third_point, unrank
+from capset.f3core import POW3, PointSet, SpaceBitmap, _digit_groups, rank, third_point, unrank
 from capset.sweep import (
     DEFAULT_CHUNK_PAIRS,
     SweepTask,
@@ -100,6 +100,139 @@ def test_kernel_hits_match_isin(dim):
             assert np.array_equal(target[ks], thirds[found])
     js, ks = kernel.hits(ranks[0], target[:0])
     assert js.size == ks.size == 0
+
+
+# --- anchor blocks against the per-anchor reference ----------------------------
+
+
+def reference_outcome(s, mode):
+    """(violation, pairs_examined, covered ranks) of a per-anchor sweep on _Kernel.thirds."""
+    ranks, m = s.ranks, len(s)
+    kernel = _Kernel(ranks, s.dim)
+    rows = [kernel.thirds(ranks[i], i + 1).copy() for i in range(m - 1)]
+    first, examined = None, pairs_total(m)
+    for i, thirds in enumerate(rows):
+        hit = np.flatnonzero(np.isin(thirds, ranks))
+        if hit.size:
+            k = int(hit[0])
+            first = (int(ranks[i]), int(ranks[i + 1 + k]), int(thirds[k]))
+            examined = pair_index(m, i, i + 1 + k) + 1
+            break
+    if mode == "coverage":
+        covered = np.unique(np.concatenate(rows)) if rows else np.empty(0, np.int64)
+        return first, pairs_total(m), covered
+    return first, examined, None
+
+
+def assert_coverage_is(coverage, covered):
+    # equal bit for bit: the same number of set bits, all of them at covered
+    assert coverage.count() == covered.size
+    assert (coverage.buf[covered >> 3] & (1 << (covered & 7)).astype(np.uint8)).all()
+
+
+def plant_line(rng, ranks, dim):
+    """ranks plus the third point of two of them, drawn at random."""
+    p, q = (unrank(int(r), dim) for r in rng.choice(ranks, 2, replace=False))
+    return np.append(ranks, rank(third_point(p, q)))
+
+
+def block_run_set(rng, dim, size):
+    """Random ranks, about half of them in one top digit group: one long block."""
+    top = POW3[dim - _digit_groups(dim)[0][1]] if dim > 8 else POW3[dim]
+    base = int(rng.integers(0, POW3[dim] // top)) * top
+    run = base + rng.choice(top, min(top, size // 2), replace=False)
+    return np.unique(np.concatenate([run, rng.integers(0, POW3[dim], size - run.size)]))
+
+
+def assert_matches_reference(s, modes=("cap", "coverage"), threads=(1, 2, 3), chunks=(7, 500, 10**7)):
+    for mode in modes:
+        violation, examined, covered = reference_outcome(s, mode)
+        for t in threads:
+            for chunk_pairs in chunks:
+                out = run_sweep(SweepTask(s, mode, chunk_pairs=chunk_pairs, threads=t))
+                assert (out.violation, out.pairs_examined) == (violation, examined), (mode, t, chunk_pairs)
+                if covered is not None:
+                    assert_coverage_is(out.coverage, covered)
+                del out
+
+
+@pytest.mark.parametrize("dim", range(1, 22))
+def test_block_sweep_matches_per_anchor_reference(dim):
+    # dimensions up to 8 have one digit group, cut only by the 256-anchor
+    # cap; at 21 coverage is refused, so cap mode alone is compared
+    rng = np.random.default_rng(0xB10C + dim)
+    size = min(POW3[dim], 300 if dim <= 18 else 120)
+    modes = ("cap", "coverage") if dim <= 20 else ("cap",)
+    threads = (1, 2, 3) if dim < 18 else (1, 2)
+    for planted in (False, True):
+        ranks = rng.choice(POW3[dim], size, replace=False) if dim < 8 else block_run_set(rng, dim, size)
+        if planted and ranks.size > 2:
+            ranks = plant_line(rng, ranks, dim)
+        assert_matches_reference(PointSet(dim, ranks), modes, threads)
+
+
+@pytest.mark.parametrize("dim", [7, 15, 17])
+def test_block_longer_than_256_anchors(dim):
+    # one top-group run of 600 anchors is cut into blocks of at most 256; at
+    # dimension 7 (one group) the 256 cap alone cuts them
+    rng = np.random.default_rng(dim)
+    top = POW3[dim - _digit_groups(dim)[0][1]] if dim > 8 else POW3[dim]
+    run = int(rng.integers(0, POW3[dim] // top)) * top + rng.choice(top, 600, replace=False)
+    s = PointSet(dim, np.unique(np.concatenate([run, rng.integers(0, POW3[dim], 100)])))
+    assert len(s) > 512
+    assert_matches_reference(s, threads=(1, 2), chunks=(500, 10**7))
+    assert_matches_reference(PointSet(dim, plant_line(rng, s.ranks, dim)), ("cap",), (1, 3), (7, 10**7))
+
+
+def third_rank(x, y, dim):
+    return rank(third_point(unrank(x, dim), unrank(y, dim)))
+
+
+@pytest.mark.parametrize("dim", [15, 19])
+def test_block_hit_in_triangle_and_rectangle(dim):
+    # The block is the anchors of top group value 0. A "triangle" line lies in
+    # the block (the third of two points of one top group shares it); a
+    # "rectangle" line joins an anchor to two later points of other top groups.
+    top = POW3[dim - _digit_groups(dim)[0][1]]
+    # top group value 5 (012 in base 3): its thirds with the block have 021 = 7
+    far = 5 * top
+
+    def triangle(a, b):
+        # for a divisible by 3 and b = a + 1 the third is a + 2
+        return [a, b, third_rank(a, b, dim)]
+
+    def rectangle(a):
+        return [a, far + 7, third_rank(a, far + 7, dim)]
+
+    a0, a1 = 99, 201  # anchors a0 < a1 of the block; the other points are above them
+    cases = [
+        # lesser anchor's rectangle partner wins over a greater anchor's triangle partner
+        (rectangle(a0) + triangle(a1, a1 + 1), (a0, far + 7)),
+        # lesser anchor's triangle partner wins over a greater anchor's rectangle partner
+        (triangle(a0, a0 + 1) + rectangle(a1), (a0, a0 + 1)),
+        # one anchor with both: its triangle partner wins
+        (triangle(a0, a0 + 1) + rectangle(a0), (a0, a0 + 1)),
+    ]
+    for ranks, (i, j) in cases:
+        s = PointSet(dim, ranks)
+        # the planted points are least in their lines, so the hit is where intended
+        assert int(s.ranks[0]) == a0 and third_rank(i, j, dim) > j
+        violation = (i, j, third_rank(i, j, dim))
+        assert reference_outcome(s, "cap")[0] == violation
+        assert_matches_reference(s, ("cap", "coverage"), (1, 2, 3) if dim <= 18 else (1, 2))
+
+
+def test_progress_pairs_add_up(monkeypatch):
+    # two chunks at the default size, the first long enough for a flush of
+    # 2^23 pairs inside it; every pair is reported once
+    rng = np.random.default_rng(23)
+    s = PointSet(15, rng.choice(POW3[15], 5000, replace=False))
+    assert len(make_chunks(len(s))) == 2
+    seen = []
+    monkeypatch.setattr(capset.sweep._Progress, "add", lambda self, pairs: seen.append(pairs))
+    out = run_sweep(SweepTask(s, "coverage", threads=1))
+    assert out.pairs_examined == sum(seen) == pairs_total(len(s))
+    assert len(seen) > 2
 
 
 # --- pair index bookkeeping --------------------------------------------------
@@ -398,9 +531,9 @@ def test_cap_workers_build_no_member_bitmap(monkeypatch):
 
 
 def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
-    # Every forked worker inherits the patched _Kernel.thirds and sends itself
-    # SIGKILL after its first call, while it scans; the parent calls thirds
-    # only after its workers have exited, so it passes the pid test.
+    # Every forked worker inherits the patched _Kernel._block_tiles and sends
+    # itself SIGKILL at its first tile, while it scans; the parent scans only
+    # after its workers have exited, so it passes the pid test.
     script = tmp_path / "killed_mid_scan.py"
     script.write_text(textwrap.dedent("""
         import multiprocessing as mp
@@ -413,15 +546,15 @@ def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
         from capset.sweep import SweepTask, _Kernel, run_sweep
 
         parent = os.getpid()
-        thirds = _Kernel.thirds
+        block_tiles = _Kernel._block_tiles
 
-        def dying_thirds(self, anchor, start=0):
-            out = thirds(self, anchor, start)
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return out
+        def dying_block_tiles(self, b0, b1):
+            for tile in block_tiles(self, b0, b1):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield tile
 
-        _Kernel.thirds = dying_thirds
+        _Kernel._block_tiles = dying_block_tiles
 
         ranks = np.random.default_rng(7).choice(3**15, 60, replace=False)
         try:
