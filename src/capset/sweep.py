@@ -11,7 +11,7 @@ up to dimension 18, packed bits above it, where SpaceBitmap.set_ranks
 scatters each tile of thirds with one buffered OR and sets again the bits
 lost to thirds that share a byte. A third point is
 never either point of its pair, so a set is a cap iff its coverage marks none
-of its own ranks: coverage mode checks that once, after the merge, and only
+of its own ranks: coverage mode checks that once, after the scan, and only
 when it fails runs the early-exit cap sweep to find the canonical violation.
 
 The kernel splits each rank into the base-3 digit groups of
@@ -38,20 +38,34 @@ Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, each
 worker owns a private coverage buffer, and the reported violation is the
 minimum in canonical pair order, so outcomes are bit-identical for any number
-of workers. Workers are forked (POSIX fork), so they inherit the imported
-modules, the ranks and the cap-mode member bitmap, which the parent builds
-once: nothing is imported again or pickled, and a script that runs a sweep
-needs no __main__ guard. A worker ignores SIGINT; the parent turns an
-interrupt into KeyboardInterrupt and terminates the workers. Before it forks,
-the parent sets up all that a worker writes in shared memory: a zero-filled
-packed coverage row of 3^dim/8 bytes per worker in one anonymous mmap, and
-three int64 hit slots per worker in a RawArray. The parent waits on the
-workers' process sentinels; a worker that exits with a nonzero code raises
-WorkerError, and on any error the workers still running are terminated.
-When all have exited, the parent takes the least hit and ORs the rows.
-Coverage above dimension 18 runs in this process whatever the thread count:
-a second worker there saved no wall time and cost CPU. The coverage is the
-one source of third points for both completeness checks in the verifiers.
+of workers. Coverage above dimension 18 is cut by the third points instead:
+a window is the 3^15 ranks (1.8 MB of bits) that share their top t =
+dim - 15 digits. A block's anchors share the top group and so their top t
+digits a, and the pairs with the partners of top t digits b all send their
+third points to one window, the negated digit sum of a and b. The parent
+counts the pairs of every window exactly from the member counts of the
+classes of top t digits and gives the windows to at most one worker per
+thread in units of 8 consecutive windows, balanced by those counts: 3^15 is
+odd, so the units are whole bytes of one shared packed bitmap, the workers
+write disjoint bytes and nothing is merged. Each worker takes every block's
+partners class by class, scanning those whose window is in its share, so a
+tile stays in one window (adjacent classes of a share take one tile while
+they are small).
+
+Workers are forked (POSIX fork), so they inherit the imported modules, the
+ranks and the cap-mode member bitmap, which the parent builds once: nothing
+is imported again or pickled, and a script that runs a sweep needs no
+__main__ guard. A worker ignores SIGINT; the parent turns an interrupt into
+KeyboardInterrupt and terminates the workers. Before it forks, the parent
+sets up all that a worker writes in shared memory: the coverage (a
+zero-filled packed row of 3^dim/8 bytes per chunk worker, or the one bitmap
+of the window workers) in an anonymous mmap, and three int64 hit slots per
+worker in a RawArray. The parent waits on the workers' process sentinels; a
+worker that exits with a nonzero code raises WorkerError, and on any error
+the workers still running are terminated. When all have exited, the parent
+takes the least hit and ORs the chunk workers' rows. A sweep with one chunk,
+one share or one thread runs in this process. The coverage is the one source
+of third points for both completeness checks in the verifiers.
 """
 from __future__ import annotations
 
@@ -72,8 +86,12 @@ from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, SCAN_BLOCK_BYTES, PointSet, Spa
 DEFAULT_CHUNK_PAIRS = 10_000_000
 
 # uint8 coverage scratch of 3^dim bytes is kept only while it fits easily in
-# memory; beyond dim 18 coverage falls back to bit-packed scatter.
+# memory; beyond dim 18 coverage scatters packed bits window by window.
 _SCRATCH_DIM_LIMIT = 18
+
+# Above dimension 18 coverage is cut into windows of 3^15 consecutive ranks
+# (1.8 MB of packed bits): the window of a rank is its top dim - 15 digits.
+_WINDOW_DIGITS = 15
 
 # Least seconds between two progress lines on stderr.
 PROGRESS_INTERVAL = 1.0
@@ -274,16 +292,19 @@ class _Kernel:
         if progress_cb is not None and done:
             progress_cb(done)
 
-    def _block_tiles(self, b0: int, b1: int):
-        """Yield (j0, tile) for every pair of an anchor in [b0, b1) with a later partner.
+    def _block_tiles(self, b0: int, b1: int, spans=None, own: bool = True):
+        """Yield (j0, tile) for the pairs of the anchors in [b0, b1) with later partners.
 
         tile[p, k] is the rank of the third point of partners[b0 + k] and
-        partners[j0 + p], as intp. The first tile is the block against itself
-        (j0 = b0, K x K), whose pairs are its strictly lower triangle p > k;
-        the others take the partners [b1, n) in ascending slices of at most
+        partners[j0 + p], as intp. The first tile, unless own is false, is
+        the block against itself (j0 = b0, K x K), whose pairs are its
+        strictly lower triangle p > k; the others take each partner range
+        [s, e) of spans (all partners after the block, [b1, n), by default;
+        every range starts at b1 or later) in ascending slices of at most
         _TILE_ITEMS // K rows.
         """
         n, size = self.partners.size, b1 - b0
+        spans = [(b1, n)] if spans is None else spans
         shared = len(self.groups) > 1  # the top group, with one value in the block
         if self._tiles is None:
             self._tiles = [np.empty(_TILE_ITEMS, t) for t in (np.intp, self.dtype, self.dtype)]
@@ -291,7 +312,9 @@ class _Kernel:
             self._stacks = [np.empty(g[1] * min(_BLOCK_ANCHORS, n), self.dtype) for g in self.groups[shared:]]
         anchors = self.partners[b0:b1]
         if shared:
-            np.take(self._rows(int(anchors[0]), 1)[0], self.digits[0][b0:], out=self._top[: n - b0])
+            row = self._rows(int(anchors[0]), 1)[0]
+            for s, e in [(b0, b1), *spans] if own else spans:
+                np.take(row, self.digits[0][s:e], out=self._top[s - b0 : e - b0])
         stacks = []  # the (3^width, K) row table of each lower group
         for (place, rows, low_size, high_table, low_table, _), buf in zip(self.groups[shared:], self._stacks):
             value = anchors // place % rows
@@ -313,10 +336,12 @@ class _Kernel:
                 np.add(total, self._top[j0 - b0 : j1 - b0, None], out=out)
             return out
 
-        yield b0, tile(b0, b1)
+        if own:
+            yield b0, tile(b0, b1)
         step = max(1, _TILE_ITEMS // size)
-        for j0 in range(b1, n, step):
-            yield j0, tile(j0, min(j0 + step, n))
+        for s, e in spans:
+            for j0 in range(s, e, step):
+                yield j0, tile(j0, min(j0 + step, e))
 
 
 def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,33 +354,25 @@ def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
 def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, stop=None):
     """Scan the listed chunks in ascending order, block by block.
 
-    Given a coverage bitmap cover, mark the third point of every pair in it
-    and return None: up to dimension 18 in a private scratch of 3^dim bytes
-    that is packed into cover block by block, above it with
-    SpaceBitmap.set_ranks. Otherwise return (i, j, third rank) of the first
-    pair whose third point is a member, or None; it stops early at a chunk
-    beyond one where another worker already found a violation. Membership is
-    a gather from the packed member bitmap members when one is given (up to
-    MAX_BITMAP_DIM) and a binary search in the sorted ranks otherwise, where
-    no 3^dim bitmap fits. The first pair is the least anchor with a hit in
-    its block, then its least partner: the block's own partners come before
-    the later ones, so the scan stops after the first block with a hit.
+    Given a coverage bitmap cover (up to dimension 18; _scan_windows covers
+    above it), mark the third point of every pair in a private scratch of
+    3^dim bytes, pack it into cover block by block and return None.
+    Otherwise return (i, j, third rank) of the first pair whose third point
+    is a member, or None; it stops early at a chunk beyond one where another
+    worker already found a violation. Membership is a gather from the packed
+    member bitmap members when one is given (up to MAX_BITMAP_DIM) and a
+    binary search in the sorted ranks otherwise, where no 3^dim bitmap fits.
+    The first pair is the least anchor with a hit in its block, then its
+    least partner: the block's own partners come before the later ones, so
+    the scan stops after the first block with a hit.
     """
     kernel = _Kernel(ranks, dim)
     if cover is not None:
-        tiles = (
-            tile[_below(tile.shape[1])] if j0 == b0 else tile
-            for idx in indices
-            for b0, b1 in kernel._blocks(*chunks[idx], progress_cb)
-            for j0, tile in kernel._block_tiles(b0, b1)
-        )
-        if dim > _SCRATCH_DIM_LIMIT:
-            for thirds in tiles:
-                cover.set_ranks(thirds)
-            return None
         marks = np.zeros(POW3[dim], np.uint8)
-        for thirds in tiles:
-            marks[thirds] = 1
+        for idx in indices:
+            for b0, b1 in kernel._blocks(*chunks[idx], progress_cb):
+                for j0, tile in kernel._block_tiles(b0, b1):
+                    marks[tile[_below(tile.shape[1])] if j0 == b0 else tile] = 1
         for lo in range(0, cover.buf.size, SCAN_BLOCK_BYTES):
             block = marks[8 * lo : 8 * (lo + SCAN_BLOCK_BYTES)]
             cover.buf[lo : lo + SCAN_BLOCK_BYTES] = np.packbits(block, bitorder="little")
@@ -386,6 +403,84 @@ def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, st
                         stop.value = min(stop.value, idx)
                 return first
     return None
+
+
+def _windows(ranks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class starts and exact pair counts of the coverage windows above dimension 18.
+
+    Window c holds the 3^15 ranks whose top t = dim - 15 digits read c, and
+    class b the members whose top t digits read b: members[starts[b] :
+    starts[b + 1]]. The third point of a pair from classes a and b lies in
+    window _negadd_table(t, 0)[a, b].
+    """
+    t = dim - _WINDOW_DIGITS
+    starts = np.searchsorted(ranks, np.arange(POW3[t] + 1) * POW3[_WINDOW_DIGITS])
+    sizes = np.diff(starts)
+    pairs = np.triu(np.outer(sizes, sizes), 1)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    counts = np.zeros(POW3[t], np.int64)
+    np.add.at(counts, _negadd_table(t, 0), pairs)
+    return starts, counts
+
+
+def _window_shares(counts: np.ndarray, threads: int) -> list[np.ndarray]:
+    """Give the windows to at most threads workers, balanced by their pairs.
+
+    The windows go in units of 8 consecutive windows: 3^15 is odd, so a unit
+    starts on a byte of the bitmap, and no two workers write one byte. Each
+    unit, largest first, goes whole to the worker with the fewest pairs so
+    far. Returns each worker's boolean mask over the windows; a worker left
+    without pairs is dropped.
+    """
+    units = np.add.reduceat(counts, np.arange(0, counts.size, 8))
+    loads = [0] * threads
+    shares = np.zeros((threads, counts.size), bool)
+    for u in np.argsort(-units, kind="stable"):
+        w = loads.index(min(loads))
+        loads[w] += int(units[u])
+        shares[w, 8 * u : 8 * u + 8] = True
+    return [share for share, load in zip(shares, loads) if load]
+
+
+def _scan_windows(ranks, dim, starts, share, progress_cb, cover) -> None:
+    """Mark in cover the third point of every pair whose window is in share.
+
+    The anchors go in the blocks of _Kernel._blocks, whose anchors share the
+    top digit group (width 7 at dimensions 19-20) and so their class a. A
+    block meets itself when the window of (a, a) is in the share, and then
+    the partners of each later class b whose window with a is: one partner
+    range per class, so a tile stays inside one window. Adjacent classes
+    share a range while it is shorter than a quarter tile, or a sparse set
+    would spend its time on tiny tiles; their windows are all in the share.
+    The pairs of the tiles scanned go to progress_cb in sums of at least 2^23.
+    """
+    kernel = _Kernel(ranks, dim)
+    table = _negadd_table(dim - _WINDOW_DIGITS, 0)
+    mine = share[table]  # mine[a, b]: the pairs of classes a and b are this worker's
+    later = mine & (np.diff(starts) > 0)  # skip empty classes
+    starts = starts.tolist()
+    done = 0
+    for b0, b1 in kernel._blocks(0, ranks.size - 1):
+        a = int(ranks[b0] // POW3[_WINDOW_DIGITS])
+        least = _TILE_ITEMS // 4 // (b1 - b0)
+        spans = []
+        for b in (np.flatnonzero(later[a, a:]) + a).tolist():
+            s, e = max(b1, starts[b]), starts[b + 1]
+            if spans and spans[-1][1] == s and s - spans[-1][0] < least:
+                spans[-1] = (spans[-1][0], e)
+            elif s < e:
+                spans.append((s, e))
+        if not (spans or mine[a, a]):
+            continue
+        for j0, tile in kernel._block_tiles(b0, b1, spans, own=mine[a, a]):
+            thirds = tile[_below(tile.shape[1])] if j0 == b0 else tile
+            cover.set_ranks(thirds)
+            done += thirds.size
+        if done >= 1 << 23:
+            progress_cb(done)
+            done = 0
+    if done:
+        progress_cb(done)
 
 
 def _below(size: int) -> np.ndarray:
@@ -428,12 +523,12 @@ class _Progress:
             self.emit(done)
 
 
-def _worker_main(ranks, dim, chunks, indices, members, row, hit, stop, counter) -> None:
-    """Scan the given chunks in a forked worker.
+def _worker_main(scan, payload, hit, counter) -> None:
+    """Run scan(payload, progress_cb) in a forked worker.
 
-    Coverage goes into row, this worker's packed row of shared memory; a
-    violation (i, j, third rank) goes into hit, its three shared int64 slots.
-    The parent reads both only after the worker has exited with code 0.
+    A violation (i, j, third rank) it returns goes into hit, the worker's
+    three shared int64 slots; the parent reads them, and any coverage the
+    scan wrote to shared memory, only after the worker has exited with code 0.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C for the group
 
@@ -441,8 +536,7 @@ def _worker_main(ranks, dim, chunks, indices, members, row, hit, stop, counter) 
         with counter.get_lock():
             counter.value += done
 
-    cover = None if row is None else SpaceBitmap(dim, row)
-    first = _scan(ranks, dim, chunks, indices, progress_cb, cover, members, stop)
+    first = scan(payload, progress_cb)
     if first is not None:
         hit[:] = first
 
@@ -463,22 +557,12 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
         cov = SpaceBitmap(ps.dim) if coverage else None
         return SweepOutcome(None, cov, 0)
 
-    chunks = make_chunks(m, task.chunk_pairs)
-    workers = min(resolve_threads(task.threads), len(chunks))
-    if coverage and ps.dim > _SCRATCH_DIM_LIMIT:
-        # measured on the packed path: two workers took the wall time of one
-        # and more CPU, so this coverage runs here
-        workers = 1
-    members = None
-    if not coverage and ps.dim <= MAX_BITMAP_DIM:
-        members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf
+    threads = resolve_threads(task.threads)
     progress = _Progress(total, task.progress)
-
-    if workers <= 1:
-        cov = SpaceBitmap(ps.dim) if coverage else None
-        first = _scan(ps.ranks, ps.dim, chunks, range(len(chunks)), progress.add, cov, members)
+    if coverage and ps.dim > _SCRATCH_DIM_LIMIT:
+        first, cov = None, _cover_windows(ps, threads, progress)
     else:
-        first, cov = _run_workers(ps, coverage, members, chunks, workers, progress)
+        first, cov = _sweep_chunks(ps, coverage, task.chunk_pairs, threads, progress)
 
     if coverage:
         progress.finish(total)
@@ -497,26 +581,62 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
     return SweepOutcome(violation, None, pair_index(m, i, j) + 1)
 
 
-def _run_workers(
-    ps: PointSet, coverage: bool, members, chunks, workers, progress
-) -> tuple[tuple[int, int, int] | None, SpaceBitmap | None]:
+def _sweep_chunks(ps, coverage, chunk_pairs, threads, progress):
+    """(first violation, coverage) of a sweep of fixed chunks, inline or on workers."""
+    chunks = make_chunks(len(ps), chunk_pairs)
+    workers = min(threads, len(chunks))
+    members = None
+    if not coverage and ps.dim <= MAX_BITMAP_DIM:
+        members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf
+    if workers <= 1:
+        cov = SpaceBitmap(ps.dim) if coverage else None
+        return _scan(ps.ranks, ps.dim, chunks, range(len(chunks)), progress.add, cov, members), cov
+
+    rows = _shared_zeros(workers, (POW3[ps.dim] + 7) // 8) if coverage else None
+    covers = [SpaceBitmap(ps.dim, row) for row in rows] if coverage else [None] * workers
+    stop = mp.get_context("fork").Value("q", len(chunks))
+    parts = [part.tolist() for part in np.array_split(np.arange(len(chunks)), workers)]
+
+    def scan(w, progress_cb):
+        return _scan(ps.ranks, ps.dim, chunks, parts[w], progress_cb, covers[w], members, stop)
+
+    first = _run_workers(scan, range(workers), progress)
+    return first, SpaceBitmap(ps.dim, np.bitwise_or.reduce(rows)) if coverage else None
+
+
+def _cover_windows(ps, threads, progress) -> SpaceBitmap:
+    """The packed coverage above dimension 18, inline or on workers that own windows."""
+    starts, counts = _windows(ps.ranks, ps.dim)
+    shares = _window_shares(counts, threads)
+    if len(shares) == 1:
+        cov = SpaceBitmap(ps.dim)
+        _scan_windows(ps.ranks, ps.dim, starts, shares[0], progress.add, cov)
+    else:
+        # the shares write disjoint bytes of one shared bitmap, so nothing is merged
+        cov = SpaceBitmap(ps.dim, _shared_zeros((POW3[ps.dim] + 7) // 8))
+        _run_workers(lambda share, progress_cb: _scan_windows(ps.ranks, ps.dim, starts, share, progress_cb, cov),
+                     shares, progress)
+    return cov
+
+
+def _shared_zeros(*shape: int) -> np.ndarray:
+    """A zero-filled uint8 array in anonymous shared memory, which forked workers write."""
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape))), np.uint8).reshape(shape)
+
+
+def _run_workers(scan, payloads, progress) -> tuple[int, int, int] | None:
+    """Run scan(payload, progress_cb) for each payload in its own forked worker.
+
+    Returns the least violation the workers found, or None.
+    """
     ctx = mp.get_context("fork")
-    stop = ctx.Value("q", len(chunks))
     counter = ctx.Value("q", 0)
-    hits = np.frombuffer(ctx.RawArray("q", 3 * workers), np.int64).reshape(workers, 3)
+    hits = np.frombuffer(ctx.RawArray("q", 3 * len(payloads)), np.int64).reshape(-1, 3)
     hits[:, 0] = -1  # no violation
-    rows = [None] * workers
-    if coverage:
-        nbytes = (POW3[ps.dim] + 7) // 8
-        rows = np.frombuffer(mmap.mmap(-1, workers * nbytes), np.uint8).reshape(workers, nbytes)
-    splits = np.array_split(np.arange(len(chunks)), workers)
     procs = []
     try:
-        for part, row, hit in zip(splits, rows, hits):
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(ps.ranks, ps.dim, chunks, [int(x) for x in part], members, row, hit, stop, counter),
-            )
+        for payload, hit in zip(payloads, hits):
+            proc = ctx.Process(target=_worker_main, args=(scan, payload, hit, counter))
             proc.start()
             procs.append(proc)
         pending = {proc.sentinel: proc for proc in procs}
@@ -535,6 +655,4 @@ def _run_workers(
     finally:
         for proc in procs:
             proc.join()
-    first = min((tuple(int(v) for v in hit) for hit in hits if hit[0] >= 0), default=None)
-    merged = SpaceBitmap(ps.dim, np.bitwise_or.reduce(rows)) if coverage else None
-    return first, merged
+    return min((tuple(int(v) for v in hit) for hit in hits if hit[0] >= 0), default=None)

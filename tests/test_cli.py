@@ -310,16 +310,33 @@ def test_verify_memory_error_and_interrupt_exit_2(tmp_path, capsys, monkeypatch,
     assert (code, err) == (2, f"error: {message}\n")
 
 
-def test_ctrl_c_stops_forked_workers(tmp_path):
-    # a real SIGINT to the whole process group while both workers scan a
-    # dim-18 cap (byte coverage, which forks workers): only the parent
-    # reports it, and it leaves no process behind
-    path = tmp_path / "b18.caps"
-    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 16_000, replace=False)
-    write_capset(PointSet(18, ranks), path)
+# Runs the CLI with sys.argv[1:] under a patch that the forked sweep workers
+# inherit: a worker repeats its tiles without end, so it is still scanning
+# when the SIGINT arrives, however fast the kernel is.
+ENDLESS_WORKERS = """
+import os
+import sys
+from capset.cli import main
+from capset.sweep import _Kernel
+
+parent = os.getpid()
+block_tiles = _Kernel._block_tiles
+
+def endless_block_tiles(self, *args, **kwargs):
+    while os.getpid() != parent:
+        yield from block_tiles(self, *args, **kwargs)
+    yield from block_tiles(self, *args, **kwargs)
+
+_Kernel._block_tiles = endless_block_tiles
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def interrupt_verify(path):
+    """SIGINT to the whole group of a 2-worker verify once both workers scan; (exit code, stderr)."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "capset.cli", "verify", str(path), "--cap", "--complete", "--threads", "2"],
+        [sys.executable, "-c", ENDLESS_WORKERS, "verify", str(path), "--cap", "--complete", "--threads", "2"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
     )
     try:
@@ -335,7 +352,6 @@ def test_ctrl_c_stops_forked_workers(tmp_path):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert (proc.returncode, err) == (2, "error: interrupted\n")
     deadline = time.monotonic() + 5
     while True:
         try:
@@ -344,6 +360,25 @@ def test_ctrl_c_stops_forked_workers(tmp_path):
             break
         assert time.monotonic() < deadline, "a process of the group outlived the interrupted verify"
         time.sleep(0.05)
+    return proc.returncode, err
+
+
+def test_ctrl_c_stops_forked_workers(tmp_path):
+    # a real SIGINT to the whole process group while both workers scan a
+    # dim-18 cap (byte coverage, which forks workers): only the parent
+    # reports it, and it leaves no process behind
+    path = tmp_path / "b18.caps"
+    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 16_000, replace=False)
+    write_capset(PointSet(18, ranks), path)
+    assert interrupt_verify(path) == (2, "error: interrupted\n")
+
+
+def test_ctrl_c_stops_window_workers(tmp_path):
+    # the same at dimension 19, where two workers own the runs of coverage windows
+    path = tmp_path / "b19.caps"
+    ranks = np.random.default_rng(19).choice(gen_B(19).ranks, 2_000, replace=False)
+    write_capset(PointSet(19, ranks), path)
+    assert interrupt_verify(path) == (2, "error: interrupted\n")
 
 
 def test_usage_error_exits_2():

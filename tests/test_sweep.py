@@ -13,6 +13,7 @@ import pytest
 
 import capset
 from capset.errors import CapacityError
+from capset.constructions import gen_B
 from capset.f3core import POW3, PointSet, SpaceBitmap, _digit_groups, rank, third_point, unrank
 from capset.sweep import (
     DEFAULT_CHUNK_PAIRS,
@@ -470,7 +471,7 @@ def test_dead_worker_raises_worker_error(tmp_path):
 @pytest.mark.parametrize("dim, size, chunk_pairs", [(4, 30, 40), (19, 300, 5000)])
 def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs):
     # dim 4: an 11-byte packed bitmap, shorter than one pack block; dim 19:
-    # the bit-packed scatter path, which runs in-process at any thread count
+    # the bit-packed scatter path, on workers that own shares of its windows
     rng = random.Random(0x5B)
     s = random_set(rng, dim, size)
     p, q = s.point(0), s.point(1)  # a line through two members: a violation
@@ -485,24 +486,90 @@ def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs
         del out
 
 
+def window_sets(dim, size):
+    """Named dimension-dim test sets for the window sweep: random, B(n)-type,
+    all members in one window, and both with a planted line."""
+    rng = random.Random(0x1920 + dim)
+    window = 5 * POW3[15]  # the ranks of window 5
+    sets = {
+        "random": random_set(rng, dim, size),
+        "B": PointSet(dim, np.random.default_rng(dim).choice(gen_B(dim).ranks, size, replace=False)),
+        "one window": PointSet.from_ranks(rng.sample(range(window, window + POW3[15]), size), dim),
+    }
+    for name in ("random", "B"):
+        s = sets[name]
+        p, q = s.point(3), s.point(size // 2)
+        sets[f"planted {name}"] = PointSet.from_ranks(list(s.ranks) + [rank(third_point(p, q))], dim)
+    return sets
+
+
 @pytest.mark.parametrize("dim", [19, 20])
-def test_packed_coverage_runs_in_process(dim, monkeypatch):
-    # above dimension 18 coverage starts no worker, whatever the thread count
-    s = random_set(random.Random(0x1920 + dim), dim, 60)
-    assert len(make_chunks(len(s), 500)) > 1
+def test_packed_coverage_on_window_workers(dim, monkeypatch):
+    # above dimension 18 threads 2 and 3 start a worker per share of windows,
+    # except where one window holds every pair, and give the threads=1
+    # outcome; dimension 20 runs threads=3 only, to hash fewer 436 MB bitmaps
+    window_shares, run_workers = capset.sweep._window_shares, capset.sweep._run_workers
+    shares, started = [], []
+    monkeypatch.setattr(capset.sweep, "_window_shares", lambda *a: shares.append(window_shares(*a)) or shares[-1])
+    monkeypatch.setattr(
+        capset.sweep, "_run_workers", lambda scan, payloads, progress: started.append(len(payloads))
+        or run_workers(scan, payloads, progress)
+    )
+    for name, s in window_sets(dim, 200).items():
 
-    def outcome(threads):
-        out = run_sweep(SweepTask(s, "coverage", chunk_pairs=500, threads=threads))
-        return out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest()
+        def outcome(threads):
+            shares.clear()
+            started.clear()
+            out = run_sweep(SweepTask(s, "coverage", chunk_pairs=500, threads=threads))
+            return out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest()
 
-    base = outcome(1)
-    assert base[0] is None  # a cap: no cap sweep follows, which may use workers
+        base = outcome(1)
+        assert (base[0] is None) == (not name.startswith("planted")), name
+        assert base[1] == pairs_total(len(s))
+        for threads in (2, 3) if dim == 19 else (3,):
+            assert outcome(threads) == base, (name, threads)
+            if name == "one window":
+                assert (len(shares[0]), started) == (1, [])
+            else:
+                # the window workers, then in a planted set those of the cap sweep
+                assert started[0] == len(shares[0]) == threads, (name, threads)
 
-    def no_workers(*args, **kwargs):
-        raise AssertionError("the coverage sweep started a worker process")
 
-    monkeypatch.setattr(capset.sweep.mp, "get_context", no_workers)
-    assert outcome(2) == base
+@pytest.mark.parametrize("dim", [19, 20])
+def test_window_shares_cover_every_window_once(dim):
+    # exact pair counts per window, and shares that split the windows in
+    # whole units of 8, so no two workers write one byte of the bitmap
+    from capset.sweep import _window_shares, _windows
+
+    for name, s in window_sets(dim, 120).items():
+        starts, counts = _windows(s.ranks, s.dim)
+        thirds = [rank(third_point(p, q)) for p, q in itertools.combinations(s.points(), 2)]
+        assert counts.tolist() == np.bincount(np.array(thirds) // POW3[15], minlength=POW3[dim - 15]).tolist()
+        assert counts.sum() == pairs_total(len(s))
+        for threads in (1, 2, 3, 5, 40):
+            shares = np.array(_window_shares(counts, threads))
+            assert 1 <= len(shares) <= threads
+            assert shares.sum(axis=0).max() == 1  # no window in two shares
+            assert shares.any(axis=0)[counts > 0].all()  # every window with pairs in one
+            assert all(counts[share].sum() > 0 for share in shares)
+            units = np.add.reduceat(shares, np.arange(0, counts.size, 8), axis=1)
+            sizes = np.diff(np.append(np.arange(0, counts.size, 8), counts.size))
+            assert ((units == 0) | (units == sizes)).all(), (name, threads)
+            if threads == 1:
+                assert shares.all()
+            if name == "one window":
+                assert len(shares) == 1
+
+
+@pytest.mark.parametrize("dim", [19, 20])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_progress_pairs_add_up(dim, threads, monkeypatch):
+    # every pair is counted once, by the worker whose window holds its third
+    s = window_sets(dim, 300)["B"]
+    seen = []
+    monkeypatch.setattr(capset.sweep._Progress, "maybe_emit", lambda self, done: seen.append(done))
+    out = run_sweep(SweepTask(s, "coverage", threads=threads))
+    assert out.pairs_examined == seen[-1] == pairs_total(len(s))
 
 
 def test_cap_workers_build_no_member_bitmap(monkeypatch):
@@ -530,12 +597,15 @@ def test_cap_workers_build_no_member_bitmap(monkeypatch):
         assert base.violation is not None
 
 
-def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
-    # Every forked worker inherits the patched _Kernel._block_tiles and sends
-    # itself SIGKILL at its first tile, while it scans; the parent scans only
-    # after its workers have exited, so it passes the pid test.
+def killed_mid_scan(tmp_path, dim):
+    """(stdout, exit code) of a 2-worker coverage sweep whose workers die mid-scan.
+
+    Every forked worker inherits the patched _Kernel._block_tiles and sends
+    itself SIGKILL at its first tile, while it scans; the parent scans only
+    after its workers have exited, so it passes the pid test.
+    """
     script = tmp_path / "killed_mid_scan.py"
-    script.write_text(textwrap.dedent("""
+    script.write_text(textwrap.dedent(f"""
         import multiprocessing as mp
         import os
         import signal
@@ -548,17 +618,17 @@ def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
         parent = os.getpid()
         block_tiles = _Kernel._block_tiles
 
-        def dying_block_tiles(self, b0, b1):
-            for tile in block_tiles(self, b0, b1):
+        def dying_block_tiles(self, *args, **kwargs):
+            for tile in block_tiles(self, *args, **kwargs):
                 if os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
                 yield tile
 
         _Kernel._block_tiles = dying_block_tiles
 
-        ranks = np.random.default_rng(7).choice(3**15, 60, replace=False)
+        ranks = np.random.default_rng(7).choice(3**{dim}, 60, replace=False)
         try:
-            run_sweep(SweepTask(PointSet(15, ranks), "coverage", chunk_pairs=100, threads=2))
+            run_sweep(SweepTask(PointSet({dim}, ranks), "coverage", chunk_pairs=100, threads=2))
         except CapsetError as e:
             print(type(e).__name__, len(mp.active_children()))
             sys.exit(2)
@@ -567,7 +637,18 @@ def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
     res = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
     )
-    assert (res.stdout.strip(), res.returncode) == ("WorkerError 0", 2), res.stderr
+    return (res.stdout.strip(), res.returncode), res.stderr
+
+
+def test_worker_killed_mid_scan_raises_worker_error(tmp_path):
+    result, stderr = killed_mid_scan(tmp_path, 15)
+    assert result == ("WorkerError 0", 2), stderr
+
+
+def test_window_worker_killed_mid_scan_raises_worker_error(tmp_path):
+    # the same on the workers that own runs of dimension-19 coverage windows
+    result, stderr = killed_mid_scan(tmp_path, 19)
+    assert result == ("WorkerError 0", 2), stderr
 
 
 def test_script_without_main_guard_runs_workers(tmp_path):
