@@ -26,6 +26,10 @@ class CapacityError(CapsetError):
     """The operation needs a dense bitmap beyond the supported dimension."""
 
 
+class ThreadCountError(CapsetError, ValueError):
+    """A worker count that is not an integer of at least 1."""
+
+
 class WorkerError(CapsetError):
     """A sweep worker process exited with a nonzero code."""
 

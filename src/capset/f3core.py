@@ -37,7 +37,7 @@ _BIT8 = (1 << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 
 # Bitmap bytes per step of SpaceBitmap.missing_ranks (2^19 ranks), which
 # bounds the memory of a completeness scan at any dimension, and per step of
-# the sweep's packing of its byte scratch.
+# the sweep parent's packing of the shared byte scratch of coverage.
 SCAN_BLOCK_BYTES = 1 << 16
 
 

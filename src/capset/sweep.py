@@ -35,37 +35,38 @@ anchor at a time for their cross-set checks, with partners from a second
 set.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
-anchor indices; the chunk list does not depend on the worker count, each
-worker owns a private coverage buffer, and the reported violation is the
-minimum in canonical pair order, so outcomes are bit-identical for any number
-of workers. Coverage above dimension 18 is cut by the third points instead:
-a window is the 3^15 ranks (1.8 MB of bits) that share their top t =
-dim - 15 digits. A block's anchors share the top group and so their top t
-digits a, and the pairs with the partners of top t digits b all send their
-third points to one window, the negated digit sum of a and b. The parent
-counts the pairs of every window exactly from the member counts of the
-classes of top t digits and gives the windows to at most one worker per
-thread in units of 8 consecutive windows, balanced by those counts: 3^15 is
-odd, so the units are whole bytes of one shared packed bitmap, the workers
-write disjoint bytes and nothing is merged. Each worker takes every block's
-partners class by class, scanning those whose window is in its share, so a
-tile stays in one window (adjacent classes of a share take one tile while
-they are small).
+anchor indices; the chunk list does not depend on the worker count, all
+chunk scans store the byte 1 at their third points in one shared 3^dim-byte
+scratch (every store writes the same value, so none is lost), and the
+reported violation is the minimum in canonical pair order, so outcomes are
+bit-identical for any number of workers. Coverage above dimension 18 is cut
+by the third points instead: a window is the 3^15 ranks (1.8 MB of bits)
+that share their top t = dim - 15 digits. A block's anchors share the top
+group and so their top t digits a, and the pairs with the partners of top t
+digits b all send their third points to one window, the negated digit sum of
+a and b. The parent counts the pairs of every window exactly from the member
+counts of the classes of top t digits and gives the windows to at most one
+worker per thread in units of 8 consecutive windows, balanced by those
+counts: 3^15 is odd, so the units are whole bytes of one shared packed
+bitmap, the workers write disjoint bytes and nothing is merged. Each worker
+takes every block's partners class by class, scanning those whose window is
+in its share, so a tile stays in one window (adjacent classes of a share
+take one tile while they are small).
 
 Workers are forked (POSIX fork), so they inherit the imported modules, the
 ranks and the cap-mode member bitmap, which the parent builds once: nothing
 is imported again or pickled, and a script that runs a sweep needs no
 __main__ guard. A worker ignores SIGINT; the parent turns an interrupt into
 KeyboardInterrupt and terminates the workers. Before it forks, the parent
-sets up all that a worker writes in shared memory: the coverage (a
-zero-filled packed row of 3^dim/8 bytes per chunk worker, or the one bitmap
-of the window workers) in an anonymous mmap, and three int64 hit slots per
-worker in a RawArray. The parent waits on the workers' process sentinels; a
-worker that exits with a nonzero code raises WorkerError, and on any error
-the workers still running are terminated. When all have exited, the parent
-takes the least hit and ORs the chunk workers' rows. A sweep with one chunk,
-one share or one thread runs in this process. The coverage is the one source
-of third points for both completeness checks in the verifiers.
+sets up all that a worker writes in shared memory: the coverage (the
+zero-filled byte scratch of the chunk scans, or the one packed bitmap of the
+window workers) in an anonymous mmap, and three int64 hit slots per worker
+in a RawArray. The parent waits on the workers' process sentinels; a worker
+that exits with a nonzero code raises WorkerError, and on any error the
+workers still running are terminated. When all have exited, the parent
+takes the least hit and packs the scratch: no sweep merges coverage. A lone
+payload (one chunk, one share or one thread) runs in this process. The
+coverage is the one source of third points for both completeness checks.
 """
 from __future__ import annotations
 
@@ -80,13 +81,13 @@ from multiprocessing.connection import wait as mp_wait
 
 import numpy as np
 
-from .errors import CapacityError, WorkerError
+from .errors import CapacityError, ThreadCountError, WorkerError
 from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, SCAN_BLOCK_BYTES, PointSet, SpaceBitmap, _digit_groups
 
 DEFAULT_CHUNK_PAIRS = 10_000_000
 
-# uint8 coverage scratch of 3^dim bytes is kept only while it fits easily in
-# memory; beyond dim 18 coverage scatters packed bits window by window.
+# The shared uint8 coverage scratch of 3^dim bytes (387 MB at dim 18, for any
+# worker count) is used up to here; beyond, coverage is packed bits by window.
 _SCRATCH_DIM_LIMIT = 18
 
 # Above dimension 18 coverage is cut into windows of 3^15 consecutive ranks
@@ -107,16 +108,16 @@ def resolve_threads(threads: int | None = None) -> int:
     """Explicit argument, else CAPSET_THREADS, else the CPU count."""
     if threads is not None:
         if threads < 1:
-            raise ValueError(f"thread count must be >= 1, got {threads}")
+            raise ThreadCountError(f"thread count must be >= 1, got {threads}")
         return threads
     env = os.environ.get("CAPSET_THREADS")
     if env:
         try:
             val = int(env)
         except ValueError as exc:
-            raise ValueError(f"CAPSET_THREADS must be an integer, got {env!r}") from exc
+            raise ThreadCountError(f"CAPSET_THREADS must be an integer, got {env!r}") from exc
         if val < 1:
-            raise ValueError(f"CAPSET_THREADS must be >= 1, got {val}")
+            raise ThreadCountError(f"CAPSET_THREADS must be >= 1, got {val}")
         return val
     return os.cpu_count() or 1
 
@@ -351,31 +352,26 @@ def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return target[at] == values, at
 
 
-def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, members=None, stop=None):
+def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, members=None, stop=None):
     """Scan the listed chunks in ascending order, block by block.
 
-    Given a coverage bitmap cover (up to dimension 18; _scan_windows covers
-    above it), mark the third point of every pair in a private scratch of
-    3^dim bytes, pack it into cover block by block and return None.
-    Otherwise return (i, j, third rank) of the first pair whose third point
-    is a member, or None; it stops early at a chunk beyond one where another
-    worker already found a violation. Membership is a gather from the packed
-    member bitmap members when one is given (up to MAX_BITMAP_DIM) and a
-    binary search in the sorted ranks otherwise, where no 3^dim bitmap fits.
-    The first pair is the least anchor with a hit in its block, then its
-    least partner: the block's own partners come before the later ones, so
-    the scan stops after the first block with a hit.
+    Given the byte scratch marks of 3^dim bytes (up to dimension 18;
+    _scan_windows covers above it), store 1 at the third point of every pair
+    and return None. Otherwise return (i, j, third rank) of the first pair
+    whose third point is a member, or None; it stops early at a chunk beyond
+    one where another worker already found a violation. Membership is a gather
+    from the packed member bitmap members when one is given (up to
+    MAX_BITMAP_DIM) and a binary search in the sorted ranks otherwise, where
+    no 3^dim bitmap fits. The first pair is the least anchor with a hit in its
+    block, then its least partner: the block's own partners come before the
+    later ones, so the scan stops after the first block with a hit.
     """
     kernel = _Kernel(ranks, dim)
-    if cover is not None:
-        marks = np.zeros(POW3[dim], np.uint8)
+    if marks is not None:
         for idx in indices:
             for b0, b1 in kernel._blocks(*chunks[idx], progress_cb):
                 for j0, tile in kernel._block_tiles(b0, b1):
                     marks[tile[_below(tile.shape[1])] if j0 == b0 else tile] = 1
-        for lo in range(0, cover.buf.size, SCAN_BLOCK_BYTES):
-            block = marks[8 * lo : 8 * (lo + SCAN_BLOCK_BYTES)]
-            cover.buf[lo : lo + SCAN_BLOCK_BYTES] = np.packbits(block, bitorder="little")
         return None
     if members is not None:
         def is_member(thirds):
@@ -582,53 +578,50 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
 
 
 def _sweep_chunks(ps, coverage, chunk_pairs, threads, progress):
-    """(first violation, coverage) of a sweep of fixed chunks, inline or on workers."""
+    """(first violation, coverage) of a sweep of fixed chunks, shared out among at most threads scans."""
     chunks = make_chunks(len(ps), chunk_pairs)
-    workers = min(threads, len(chunks))
-    members = None
-    if not coverage and ps.dim <= MAX_BITMAP_DIM:
-        members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf
-    if workers <= 1:
-        cov = SpaceBitmap(ps.dim) if coverage else None
-        return _scan(ps.ranks, ps.dim, chunks, range(len(chunks)), progress.add, cov, members), cov
-
-    rows = _shared_zeros(workers, (POW3[ps.dim] + 7) // 8) if coverage else None
-    covers = [SpaceBitmap(ps.dim, row) for row in rows] if coverage else [None] * workers
+    parts = [part.tolist() for part in np.array_split(np.arange(len(chunks)), min(threads, len(chunks)))]
+    marks = _shared_zeros(POW3[ps.dim]) if coverage else None
+    members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf if not coverage and ps.dim <= MAX_BITMAP_DIM else None
     stop = mp.get_context("fork").Value("q", len(chunks))
-    parts = [part.tolist() for part in np.array_split(np.arange(len(chunks)), workers)]
 
-    def scan(w, progress_cb):
-        return _scan(ps.ranks, ps.dim, chunks, parts[w], progress_cb, covers[w], members, stop)
+    def scan(part, progress_cb):
+        return _scan(ps.ranks, ps.dim, chunks, part, progress_cb, marks, members, stop)
 
-    first = _run_workers(scan, range(workers), progress)
-    return first, SpaceBitmap(ps.dim, np.bitwise_or.reduce(rows)) if coverage else None
+    first = _run_workers(scan, parts, progress)
+    if not coverage:
+        return first, None
+    # free each block of the scratch once packed (Linux), so it and cov are never both whole
+    cov = SpaceBitmap(ps.dim)
+    for lo in range(0, cov.buf.size, SCAN_BLOCK_BYTES):
+        cov.buf[lo : lo + SCAN_BLOCK_BYTES] = np.packbits(marks[8 * lo : 8 * (lo + SCAN_BLOCK_BYTES)], bitorder="little")
+        marks.base.obj.madvise(mmap.MADV_REMOVE, 8 * lo, 8 * SCAN_BLOCK_BYTES)  # base.obj: the shared mmap
+    return first, cov
 
 
 def _cover_windows(ps, threads, progress) -> SpaceBitmap:
-    """The packed coverage above dimension 18, inline or on workers that own windows."""
+    """The packed coverage above dimension 18, on scans that own shares of the windows."""
     starts, counts = _windows(ps.ranks, ps.dim)
     shares = _window_shares(counts, threads)
-    if len(shares) == 1:
-        cov = SpaceBitmap(ps.dim)
-        _scan_windows(ps.ranks, ps.dim, starts, shares[0], progress.add, cov)
-    else:
-        # the shares write disjoint bytes of one shared bitmap, so nothing is merged
-        cov = SpaceBitmap(ps.dim, _shared_zeros((POW3[ps.dim] + 7) // 8))
-        _run_workers(lambda share, progress_cb: _scan_windows(ps.ranks, ps.dim, starts, share, progress_cb, cov),
-                     shares, progress)
+    # the shares write disjoint bytes of one bitmap; only forked workers need it shared
+    cov = SpaceBitmap(ps.dim, _shared_zeros((POW3[ps.dim] + 7) // 8) if len(shares) > 1 else None)
+    _run_workers(lambda share, progress_cb: _scan_windows(ps.ranks, ps.dim, starts, share, progress_cb, cov),
+                 shares, progress)
     return cov
 
 
-def _shared_zeros(*shape: int) -> np.ndarray:
+def _shared_zeros(size: int) -> np.ndarray:
     """A zero-filled uint8 array in anonymous shared memory, which forked workers write."""
-    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape))), np.uint8).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, size), np.uint8)
 
 
 def _run_workers(scan, payloads, progress) -> tuple[int, int, int] | None:
     """Run scan(payload, progress_cb) for each payload in its own forked worker.
 
-    Returns the least violation the workers found, or None.
+    A lone payload runs in this process. Returns the least violation, or None.
     """
+    if len(payloads) == 1:
+        return scan(payloads[0], progress.add)
     ctx = mp.get_context("fork")
     counter = ctx.Value("q", 0)
     hits = np.frombuffer(ctx.RawArray("q", 3 * len(payloads)), np.int64).reshape(-1, 3)

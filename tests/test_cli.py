@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
@@ -308,6 +309,32 @@ def test_verify_memory_error_and_interrupt_exit_2(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(verifiers, "verify_cap_and_complete", fail)
     code, out, err = run(capsys, "verify", path, "--complete")
     assert (code, err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--threads", "0"], None, "thread count must be >= 1, got 0"),
+        (["--threads", "-3"], None, "thread count must be >= 1, got -3"),
+        ([], "0", "CAPSET_THREADS must be >= 1, got 0"),
+        ([], "abc", "CAPSET_THREADS must be an integer, got 'abc'"),
+    ],
+    ids=["threads-0", "threads-minus-3", "env-0", "env-abc"],
+)
+def test_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, flags, env, message):
+    # an input error, found before any worker starts
+    path = caps_file(tmp_path, gen_B(5), "b5.caps")
+    if env is None:
+        monkeypatch.delenv("CAPSET_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CAPSET_THREADS", env)
+
+    def refuse(proc):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setattr(ForkProcess, "start", refuse)
+    code, out, err = run(capsys, "verify", path, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # Runs the CLI with sys.argv[1:] under a patch that the forked sweep workers

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import os
+from multiprocessing.context import ForkProcess
 import random
 import re
 import subprocess
@@ -468,10 +469,12 @@ def test_dead_worker_raises_worker_error(tmp_path):
     assert (res.stdout.strip(), res.returncode) == ("WorkerError", 2), res.stderr
 
 
-@pytest.mark.parametrize("dim, size, chunk_pairs", [(4, 30, 40), (19, 300, 5000)])
+@pytest.mark.parametrize("dim, size, chunk_pairs", [(4, 30, 40), (13, 400, 5000), (19, 300, 5000)])
 def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs):
-    # dim 4: an 11-byte packed bitmap, shorter than one pack block; dim 19:
-    # the bit-packed scatter path, on workers that own shares of its windows
+    # dim 4: an 11-byte packed bitmap, shorter than one pack block; dim 13:
+    # a scratch of 3.04 pack blocks, so the parent's blockwise pack and free
+    # crosses block edges and ends on a partial block; dim 19: the bit-packed
+    # scatter path, on workers that own shares of its windows
     rng = random.Random(0x5B)
     s = random_set(rng, dim, size)
     p, q = s.point(0), s.point(1)  # a line through two members: a violation
@@ -508,13 +511,10 @@ def test_packed_coverage_on_window_workers(dim, monkeypatch):
     # above dimension 18 threads 2 and 3 start a worker per share of windows,
     # except where one window holds every pair, and give the threads=1
     # outcome; dimension 20 runs threads=3 only, to hash fewer 436 MB bitmaps
-    window_shares, run_workers = capset.sweep._window_shares, capset.sweep._run_workers
+    window_shares, start = capset.sweep._window_shares, ForkProcess.start
     shares, started = [], []
     monkeypatch.setattr(capset.sweep, "_window_shares", lambda *a: shares.append(window_shares(*a)) or shares[-1])
-    monkeypatch.setattr(
-        capset.sweep, "_run_workers", lambda scan, payloads, progress: started.append(len(payloads))
-        or run_workers(scan, payloads, progress)
-    )
+    monkeypatch.setattr(ForkProcess, "start", lambda proc: started.append(proc) or start(proc))
     for name, s in window_sets(dim, 200).items():
 
         def outcome(threads):
@@ -524,6 +524,7 @@ def test_packed_coverage_on_window_workers(dim, monkeypatch):
             return out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest()
 
         base = outcome(1)
+        assert started == []
         assert (base[0] is None) == (not name.startswith("planted")), name
         assert base[1] == pairs_total(len(s))
         for threads in (2, 3) if dim == 19 else (3,):
@@ -532,7 +533,8 @@ def test_packed_coverage_on_window_workers(dim, monkeypatch):
                 assert (len(shares[0]), started) == (1, [])
             else:
                 # the window workers, then in a planted set those of the cap sweep
-                assert started[0] == len(shares[0]) == threads, (name, threads)
+                sweeps = 2 if name.startswith("planted") else 1
+                assert (len(shares[0]), len(started)) == (threads, sweeps * threads), (name, threads)
 
 
 @pytest.mark.parametrize("dim", [19, 20])
@@ -595,6 +597,40 @@ def test_cap_workers_build_no_member_bitmap(monkeypatch):
                 out = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=threads))
                 assert (out.violation, out.pairs_examined) == (base.violation, base.pairs_examined)
         assert base.violation is not None
+
+
+def test_coverage_workers_pack_nothing(monkeypatch):
+    # the chunk scans store into one shared byte scratch that the parent packs
+    # after they exit: a worker that packs exits, which raises WorkerError; and
+    # threads=1 scans in this process, starting none
+    parent = os.getpid()
+    packbits, start = np.packbits, ForkProcess.start
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return packbits(*args, **kwargs)
+
+    def refuse(proc):
+        raise AssertionError("threads=1 started a process")
+
+    monkeypatch.setattr(np, "packbits", parent_only)
+    for dim in (5, 13, 15):
+        cap = PointSet(dim, np.random.default_rng(dim).choice(gen_B(dim).ranks, 30, replace=False))
+        p, q = cap.point(0), cap.point(1)
+        planted = PointSet.from_ranks(list(cap.ranks) + [rank(third_point(p, q))], dim)
+        for points in (cap, planted):
+
+            def outcome(threads):
+                out = run_sweep(SweepTask(points, "coverage", chunk_pairs=50, threads=threads))
+                return out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest()
+
+            monkeypatch.setattr(ForkProcess, "start", refuse)
+            base = outcome(1)
+            monkeypatch.setattr(ForkProcess, "start", start)
+            assert (base[0] is None) == (points is cap)
+            for threads in (2, 3):
+                assert outcome(threads) == base, (dim, threads)
 
 
 def killed_mid_scan(tmp_path, dim):
