@@ -30,9 +30,8 @@ one gather per block, shared by its anchors; each lower group gathers whole
 rows of a (3^width, K) table of the K anchors' rows. The K thirds of one
 partner then differ only in the lower groups, so they land in one small
 slab of the coverage scratch or the member bitmap, and the scatter and the
-membership gather stay in cache. The verifiers use the same kernel one
-anchor at a time for their cross-set checks, with partners from a second
-set.
+membership gather stay in cache. The verifiers' cross-set checks run on the
+same tiles, with the anchors from a second set and no own triangle.
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, all
@@ -59,12 +58,13 @@ is imported again or pickled, and a script that runs a sweep needs no
 __main__ guard. A worker ignores SIGINT; the parent turns an interrupt into
 KeyboardInterrupt and terminates the workers. Before it forks, the parent
 sets up all that a worker writes in shared memory: the coverage (the
-zero-filled byte scratch of the chunk scans, or the one packed bitmap of the
-window workers) in an anonymous mmap, and three int64 hit slots per worker
-in a RawArray. The parent waits on the workers' process sentinels; a worker
-that exits with a nonzero code raises WorkerError, and on any error the
-workers still running are terminated. When all have exited, the parent
-takes the least hit and packs the scratch: no sweep merges coverage. A lone
+zero-filled byte scratch of the chunk scans in a memfd, or the one packed
+bitmap of the window workers in an anonymous mmap), and three int64 hit
+slots per worker in a RawArray. The parent waits on the workers' process
+sentinels; a worker that exits with a nonzero code raises WorkerError, and
+on any error the workers still running are terminated. When all have
+exited, the parent takes the least hit and packs the pages of the scratch
+that hold data, skipping its holes: no sweep merges coverage. A lone
 payload (one chunk, one share or one thread) runs in this process. The
 coverage is the one source of third points for both completeness checks.
 """
@@ -179,7 +179,7 @@ def _negadd_table(width: int, shift: int) -> np.ndarray:
 
 
 class _Kernel:
-    """Third-point ranks of anchors against a fixed array of partner ranks.
+    """Third-point ranks of anchor blocks against a fixed array of partner ranks.
 
     A rank splits into the base-3 digit groups of f3core._digit_groups (width
     at most 8, as few as possible, dimension 15 as 8 + 7). A group's row holds
@@ -190,96 +190,50 @@ class _Kernel:
     intp buffer, so the scatters and gathers that use them index without a
     cast. Works at every dimension whose ranks fit int64 (up to 39).
 
-    thirds() takes one anchor against a partner tail, keeping a group's row
-    while the anchor's group value repeats; the verifiers' cross-set checks
-    use it. The sweep of the partners against themselves goes by anchor
-    blocks: _blocks cuts a chunk into runs of at most _BLOCK_ANCHORS anchors
-    that share their top group value (any run at dimension 8 and below,
-    where there is one group), and _block_tiles yields the block's thirds,
-    first against itself, then against every later partner in ascending
-    order. A tile is partner-major, tile[p, k] for partner p and anchor k,
-    of at most _TILE_ITEMS intp. The top group's part is one gather per
-    block, shared by its K anchors; each lower group's K rows are stacked as
-    a (3^width, K) table, and one gather of whole rows gives a partner's
-    thirds with all K anchors, which differ only in the lower groups and so
-    fall in one small slab of the space. Arrays returned by thirds() and
-    _block_tiles() are reused by the next call.
+    The anchors are the partners themselves (the sweep) or a second sorted
+    rank array (the cross-set checks). _blocks cuts the anchors into runs of
+    at most _BLOCK_ANCHORS that share their top group value (any run at
+    dimension 8 and below, with one group), and _block_tiles yields a
+    block's thirds in partner-major tiles, tile[p, k] for partner p and
+    anchor k, of at most _TILE_ITEMS intp, each reused by the next. The top
+    group's part is one gather per block, shared by its K anchors; each
+    lower group's K rows are stacked as a (3^width, K) table, and one gather
+    of whole rows gives a partner's thirds with all K anchors, which differ
+    only in the lower groups and so fall in one small slab of the space.
     """
 
-    def __init__(self, partners: np.ndarray, dim: int):
+    def __init__(self, partners: np.ndarray, dim: int, anchors: np.ndarray | None = None):
         self.partners = np.asarray(partners, dtype=np.int64)
+        self.cross = anchors is not None  # the anchors are a second array, with no own triangle
+        self.anchors = np.asarray(anchors, dtype=np.int64) if self.cross else self.partners
         split = _digit_groups(dim)
         # a single group gathers straight into the intp output
         self.dtype = np.int32 if len(split) > 1 and POW3[dim] < 2**31 else np.intp
-        self.groups = []  # (place value, group size, low half size, high table, low table, row)
+        self.groups = []  # (place value, group size, low half size, high table, low table)
         self.digits = []  # intp partner digits of each group, most significant first
         for shift, width in split:
             low = width // 2
             high_table = _negadd_table(width - low, shift + low).astype(self.dtype)
             low_table = _negadd_table(low, shift).astype(self.dtype)
-            row = np.empty(POW3[width], self.dtype)
-            self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table, row))
+            self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table))
             self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
-        self._values = [-1] * len(split)  # anchor group value each row was built for
-        self._out = np.empty(self.partners.size, np.intp)
-        self._acc = np.empty(self.partners.size, self.dtype)
-        self._tmp = np.empty(self.partners.size, self.dtype)
         self._tiles = None  # the block buffers, made by the first block
-
-    def _rows(self, anchor: int, count: int | None = None) -> list[np.ndarray]:
-        """The rows of the first count groups (all by default) for one anchor."""
-        for g, (place, size, low_size, high_table, low_table, row) in enumerate(self.groups[:count]):
-            value = anchor // place % size
-            if value != self._values[g]:
-                np.add(high_table[value // low_size, :, None], low_table[value % low_size],
-                       out=row.reshape(-1, low_size))
-                self._values[g] = value
-        return [group[-1] for group in self.groups[:count]]
-
-    def thirds(self, anchor: int, start: int = 0) -> np.ndarray:
-        """Ranks of -(anchor + p) for each partner p in partners[start:], as intp."""
-        out = self._out[: self.partners.size - start]
-        acc = self._acc[: out.size]
-        tmp = self._tmp[: out.size]
-        rows = self._rows(int(anchor))
-        digits = [d[start:] for d in self.digits]
-        if len(rows) == 1:
-            return np.take(rows[0], digits[0], out=out)
-        np.take(rows[0], digits[0], out=acc)
-        for g in range(1, len(rows) - 1):
-            np.take(rows[g], digits[g], out=tmp)
-            acc += tmp
-        np.take(rows[-1], digits[-1], out=tmp)
-        return np.add(acc, tmp, out=out)
-
-    def hits(self, anchor: int, target: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Partner and target indices of the pairs whose third point is in target.
-
-        Pairs are (anchor, partners[p]) for p >= start, in partner order;
-        target is a sorted rank array.
-        """
-        thirds = self.thirds(anchor, start)
-        if target.size == 0:
-            return np.empty(0, np.intp), np.empty(0, np.intp)
-        member, at = _in_sorted(target, thirds)
-        found = np.flatnonzero(member)
-        return found + start, at[found]
 
     def _blocks(self, a0: int, a1: int, progress_cb=None):
         """Yield the anchor blocks (b0, b1) of the anchors [a0, a1) that have a partner.
 
         A block ends where the top group value changes, after _BLOCK_ANCHORS
         anchors, or at a1, so blocks never cross a chunk boundary. The pairs
-        of each block go to progress_cb in sums of at least 2^23, once the
-        caller resumes after it.
+        of each block of the sweep go to progress_cb in sums of at least
+        2^23, once the caller resumes after it.
         """
         n = self.partners.size
-        a1 = min(a1, n - 1)
+        a1 = min(a1, self.anchors.size if self.cross else n - 1)
         if a1 <= a0:
             return
         cuts = [a0, a1]
         if len(self.groups) > 1:
-            top = self.partners[a0:a1] // self.groups[0][0]
+            top = self.anchors[a0:a1] // self.groups[0][0]
             cuts[1:1] = (np.flatnonzero(top[1:] != top[:-1]) + a0 + 1).tolist()
         done = 0
         for s, e in zip(cuts, cuts[1:]):
@@ -294,30 +248,33 @@ class _Kernel:
             progress_cb(done)
 
     def _block_tiles(self, b0: int, b1: int, spans=None, own: bool = True):
-        """Yield (j0, tile) for the pairs of the anchors in [b0, b1) with later partners.
+        """Yield (j0, tile) for the pairs of the anchors in [b0, b1) with their partners.
 
-        tile[p, k] is the rank of the third point of partners[b0 + k] and
-        partners[j0 + p], as intp. The first tile, unless own is false, is
-        the block against itself (j0 = b0, K x K), whose pairs are its
-        strictly lower triangle p > k; the others take each partner range
-        [s, e) of spans (all partners after the block, [b1, n), by default;
-        every range starts at b1 or later) in ascending slices of at most
-        _TILE_ITEMS // K rows.
+        tile[p, k] is the rank of the third point of anchors[b0 + k] and
+        partners[j0 + p], as intp. When the anchors are the partners, the
+        first tile, unless own is false, is the block against itself (j0 =
+        b0, K x K), whose pairs are its strictly lower triangle p > k. The
+        others take each partner range [s, e) of spans in ascending slices
+        of at most _TILE_ITEMS // K rows: by default all partners after the
+        block, [b1, n), or all of [0, n) when the anchors are a second array.
         """
         n, size = self.partners.size, b1 - b0
-        spans = [(b1, n)] if spans is None else spans
+        own = own and not self.cross
+        spans = ([(0, n)] if self.cross else [(b1, n)]) if spans is None else spans
         shared = len(self.groups) > 1  # the top group, with one value in the block
         if self._tiles is None:
             self._tiles = [np.empty(_TILE_ITEMS, t) for t in (np.intp, self.dtype, self.dtype)]
             self._top = np.empty(n, self.dtype)
-            self._stacks = [np.empty(g[1] * min(_BLOCK_ANCHORS, n), self.dtype) for g in self.groups[shared:]]
-        anchors = self.partners[b0:b1]
+            self._stacks = [np.empty(g[1] * min(_BLOCK_ANCHORS, self.anchors.size), self.dtype) for g in self.groups[shared:]]
+        anchors = self.anchors[b0:b1]
         if shared:
-            row = self._rows(int(anchors[0]), 1)[0]
+            place, _, low_size, high_table, low_table = self.groups[0]
+            value = int(anchors[0]) // place
+            row = (high_table[value // low_size, :, None] + low_table[value % low_size]).ravel()
             for s, e in [(b0, b1), *spans] if own else spans:
-                np.take(row, self.digits[0][s:e], out=self._top[s - b0 : e - b0])
+                np.take(row, self.digits[0][s:e], out=self._top[s:e])
         stacks = []  # the (3^width, K) row table of each lower group
-        for (place, rows, low_size, high_table, low_table, _), buf in zip(self.groups[shared:], self._stacks):
+        for (place, rows, low_size, high_table, low_table), buf in zip(self.groups[shared:], self._stacks):
             value = anchors // place % rows
             stack = buf[: rows * size].reshape(rows, size)
             np.add(high_table[:, None, value // low_size], low_table[None, :, value % low_size],
@@ -334,7 +291,7 @@ class _Kernel:
                 np.take(stack, group_digits[j0:j1], axis=0, out=part, mode="clip")
                 total += part
             if shared:
-                np.add(total, self._top[j0 - b0 : j1 - b0, None], out=out)
+                np.add(total, self._top[j0:j1, None], out=out)
             return out
 
         if own:
@@ -343,6 +300,31 @@ class _Kernel:
         for s, e in spans:
             for j0 in range(s, e, step):
                 yield j0, tile(j0, min(j0 + step, e))
+
+    def first_hit(self, a0: int, a1: int, hits, progress_cb=None) -> tuple[int, int, int] | None:
+        """(anchor, partner, third rank) of the first pair of the anchors [a0, a1) that hits, or None.
+
+        hits(tile, j0) is a mask over a tile, nonzero where the pair's third
+        point is in the caller's set. The first pair is the least anchor with
+        a hit, then its least partner, so the search ends with the first
+        block that has a hit. This is the one search for a pair whose third
+        point is in a set.
+        """
+        for b0, b1 in self._blocks(a0, a1, progress_cb):
+            first = None
+            for j0, tile in self._block_tiles(b0, b1):
+                hit = hits(tile, j0)
+                if j0 == b0 and not self.cross:
+                    # a bitmap mask holds bit values, which &= would lose
+                    hit = np.logical_and(hit, _below(tile.shape[1]))
+                if hit.any():
+                    k = int(np.flatnonzero(hit.any(axis=0))[0])
+                    p = int(np.flatnonzero(hit[:, k])[0])
+                    if first is None or b0 + k < first[0]:
+                        first = (b0 + k, j0 + p, int(tile[p, k]))
+            if first is not None:
+                return first
+        return None
 
 
 def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +344,7 @@ def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, members=None, st
     one where another worker already found a violation. Membership is a gather
     from the packed member bitmap members when one is given (up to
     MAX_BITMAP_DIM) and a binary search in the sorted ranks otherwise, where
-    no 3^dim bitmap fits. The first pair is the least anchor with a hit in its
-    block, then its least partner: the block's own partners come before the
-    later ones, so the scan stops after the first block with a hit.
+    no 3^dim bitmap fits; _Kernel.first_hit finds the first pair of a chunk.
     """
     kernel = _Kernel(ranks, dim)
     if marks is not None:
@@ -374,30 +354,20 @@ def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, members=None, st
                     marks[tile[_below(tile.shape[1])] if j0 == b0 else tile] = 1
         return None
     if members is not None:
-        def is_member(thirds):
-            return np.take(members, thirds >> 3) & np.take(_BIT8, thirds & 7)
+        def hits(tile, j0):
+            return np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
     else:
-        def is_member(thirds):
-            return _in_sorted(ranks, thirds)[0]
+        def hits(tile, j0):
+            return _in_sorted(ranks, tile)[0]
     for idx in indices:
         if stop is not None and stop.value < idx:
             break
-        for b0, b1 in kernel._blocks(*chunks[idx], progress_cb):
-            first = None
-            for j0, tile in kernel._block_tiles(b0, b1):
-                hit = is_member(tile)
-                if j0 == b0:
-                    hit = np.logical_and(hit, _below(tile.shape[1]))
-                if hit.any():
-                    k = int(np.flatnonzero(hit.any(axis=0))[0])
-                    p = int(np.flatnonzero(hit[:, k])[0])
-                    if first is None or b0 + k < first[0]:
-                        first = (b0 + k, j0 + p, int(tile[p, k]))
-            if first is not None:
-                if stop is not None:
-                    with stop.get_lock():
-                        stop.value = min(stop.value, idx)
-                return first
+        first = kernel.first_hit(*chunks[idx], hits, progress_cb)
+        if first is not None:
+            if stop is not None:
+                with stop.get_lock():
+                    stop.value = min(stop.value, idx)
+            return first
     return None
 
 
@@ -581,22 +551,44 @@ def _sweep_chunks(ps, coverage, chunk_pairs, threads, progress):
     """(first violation, coverage) of a sweep of fixed chunks, shared out among at most threads scans."""
     chunks = make_chunks(len(ps), chunk_pairs)
     parts = [part.tolist() for part in np.array_split(np.arange(len(chunks)), min(threads, len(chunks)))]
-    marks = _shared_zeros(POW3[ps.dim]) if coverage else None
     members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf if not coverage and ps.dim <= MAX_BITMAP_DIM else None
     stop = mp.get_context("fork").Value("q", len(chunks))
+    fd = os.memfd_create("capset-coverage") if coverage else -1
+    try:
+        marks = _shared_zeros(POW3[ps.dim], fd) if coverage else None
 
-    def scan(part, progress_cb):
-        return _scan(ps.ranks, ps.dim, chunks, part, progress_cb, marks, members, stop)
+        def scan(part, progress_cb):
+            return _scan(ps.ranks, ps.dim, chunks, part, progress_cb, marks, members, stop)
 
-    first = _run_workers(scan, parts, progress)
-    if not coverage:
-        return first, None
-    # free each block of the scratch once packed (Linux), so it and cov are never both whole
-    cov = SpaceBitmap(ps.dim)
-    for lo in range(0, cov.buf.size, SCAN_BLOCK_BYTES):
-        cov.buf[lo : lo + SCAN_BLOCK_BYTES] = np.packbits(marks[8 * lo : 8 * (lo + SCAN_BLOCK_BYTES)], bitorder="little")
-        marks.base.obj.madvise(mmap.MADV_REMOVE, 8 * lo, 8 * SCAN_BLOCK_BYTES)  # base.obj: the shared mmap
-    return first, cov
+        first = _run_workers(scan, parts, progress)
+        return first, _pack(marks, fd, ps.dim) if coverage else None
+    finally:
+        if coverage:
+            os.close(fd)
+
+
+def _pack(marks: np.ndarray, fd: int, dim: int) -> SpaceBitmap:
+    """The coverage bitmap of the byte scratch marks, the memfd fd mapped shared.
+
+    Only the pages a scan wrote are read: a hole, once read, is allocated
+    and zeroed. The scratch is freed (Linux) behind the packing, at least
+    SCAN_BLOCK_BYTES bytes of bits at a time, so it and cov are never both whole.
+    """
+    cov = SpaceBitmap(dim)
+    step = 8 * SCAN_BLOCK_BYTES
+    hole = freed = 0
+    marks[-1] = marks[-1]  # the last page holds data, so SEEK_DATA finds some before the end
+    while hole < marks.size:
+        # a seek walks every page it passes, so each extent is sought once
+        data = os.lseek(fd, hole, os.SEEK_DATA)
+        hole = os.lseek(fd, data, os.SEEK_HOLE)
+        for lo in range(data, hole, step):
+            hi = min(lo + step, hole)
+            cov.buf[lo // 8 : (hi + 7) // 8] = np.packbits(marks[lo:hi], bitorder="little")
+            if hi - freed >= step:
+                marks.base.obj.madvise(mmap.MADV_REMOVE, freed, hi - freed)  # base.obj: the shared mmap
+                freed = hi
+    return cov
 
 
 def _cover_windows(ps, threads, progress) -> SpaceBitmap:
@@ -610,9 +602,11 @@ def _cover_windows(ps, threads, progress) -> SpaceBitmap:
     return cov
 
 
-def _shared_zeros(size: int) -> np.ndarray:
-    """A zero-filled uint8 array in anonymous shared memory, which forked workers write."""
-    return np.frombuffer(mmap.mmap(-1, size), np.uint8)
+def _shared_zeros(size: int, fd: int = -1) -> np.ndarray:
+    """A zero-filled uint8 array in shared memory (anonymous, or the memfd fd), which forked workers write."""
+    if fd >= 0:
+        os.ftruncate(fd, size)
+    return np.frombuffer(mmap.mmap(fd, size), np.uint8)
 
 
 def _run_workers(scan, payloads, progress) -> tuple[int, int, int] | None:

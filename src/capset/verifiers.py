@@ -40,7 +40,7 @@ from .f3core import (
     unrank,
     zero_masks,
 )
-from .sweep import _Kernel, SweepTask, pair_index, pairs_total, resolve_threads, run_sweep
+from .sweep import _Kernel, SweepTask, _in_sorted, pair_index, pairs_total, resolve_threads, run_sweep
 
 
 @dataclass
@@ -391,20 +391,27 @@ def _check_dims(*sets: PointSet) -> int:
     return dims.pop()
 
 
+def _hits_other(target: np.ndarray):
+    """Tile mask of the pairs whose third point is in target, the partners, and is not the partner itself."""
+    def hits(tile, j0):
+        member, at = _in_sorted(target, tile)
+        return member & (at != np.arange(j0, j0 + tile.shape[0])[:, None])
+    return hits
+
+
 def check_condition1(p1: PointSet, p2: PointSet, p3: PointSet) -> VerifyReport:
     """No zero-sum triple across the product p1 x p2 x p3."""
     t0 = time.perf_counter()
     dim = _check_dims(p1, p2, p3)
     n2, n3 = len(p2), len(p3)
-    kernel = _Kernel(p2.ranks, dim)
-    for ix, x in enumerate(p1.ranks):
-        iy, iz = kernel.hits(x, p3.ranks)
-        if iy.size:
-            iy, iz = int(iy[0]), int(iz[0])
-            count = (ix * n2 + iy) * n3 + iz + 1
-            witness = (p1.point(ix), p2.point(iy), p3.point(iz))
-            return _report("condition1", False, witness, count, t0)
-    return _report("condition1", True, None, len(p1) * n2 * n3, t0)
+    kernel = _Kernel(p2.ranks, dim, p1.ranks)
+    first = kernel.first_hit(0, len(p1), lambda tile, j0: _in_sorted(p3.ranks, tile)[0]) if n3 else None
+    if first is None:
+        return _report("condition1", True, None, len(p1) * n2 * n3, t0)
+    ix, iy, third = first
+    iz = int(np.searchsorted(p3.ranks, third))
+    witness = (p1.point(ix), p2.point(iy), p3.point(iz))
+    return _report("condition1", False, witness, (ix * n2 + iy) * n3 + iz + 1, t0)
 
 
 def check_condition2(p1: PointSet, p3: PointSet) -> VerifyReport:
@@ -412,19 +419,14 @@ def check_condition2(p1: PointSet, p3: PointSet) -> VerifyReport:
     t0 = time.perf_counter()
     dim = _check_dims(p1, p3)
     n3 = len(p3)
-    per_x = pairs_total(n3)
-    kernel = _Kernel(p3.ranks, dim)
-    for ix, x in enumerate(p1.ranks):
-        iy, iz = kernel.hits(x, p3.ranks)
-        # A partner equal to its third is x itself, paired with itself. The
-        # other hits come in mirrored pairs, so the first has iy < iz.
-        distinct = np.flatnonzero(iy != iz)
-        if distinct.size:
-            iy, iz = int(iy[distinct[0]]), int(iz[distinct[0]])
-            count = ix * per_x + pair_index(n3, iy, iz) + 1
-            witness = (p1.point(ix), p3.point(iy), p3.point(iz))
-            return _report("condition2", False, witness, count, t0)
-    return _report("condition2", True, None, len(p1) * per_x, t0)
+    first = _Kernel(p3.ranks, dim, p1.ranks).first_hit(0, len(p1), _hits_other(p3.ranks))
+    if first is None:
+        return _report("condition2", True, None, len(p1) * pairs_total(n3), t0)
+    # hits come in mirrored pairs, so the first has iy < iz
+    ix, iy, third = first
+    iz = int(np.searchsorted(p3.ranks, third))
+    witness = (p1.point(ix), p3.point(iy), p3.point(iz))
+    return _report("condition2", False, witness, ix * pairs_total(n3) + pair_index(n3, iy, iz) + 1, t0)
 
 
 def check_condition3(p12: PointSet, p3: PointSet) -> VerifyReport:
@@ -472,15 +474,18 @@ def is_projective_cap(a) -> VerifyReport:
     order = np.argsort(both)
     target = both[order]
     cls = np.tile(np.arange(m), 2)[order]  # the representative index of each point of D
-    kernel = _Kernel(target, members.dim)
-    for i, x in enumerate(members.ranks):
-        ip, it = kernel.hits(x, target)
-        # p = x is its own third; p = -x has third 0, which is not in D
-        keep = ip != it
-        if keep.any():
-            pairs = np.sort(np.stack([cls[ip[keep]], cls[it[keep]]]), axis=0)
-            j, k = (int(c) for c in pairs[:, np.argmin(pairs[0] * m + pairs[1])])
-            count = comb(m, 3) - comb(m - i, 3) + pair_index(m - i - 1, j - i - 1, k - i - 1) + 1
-            witness = (members.point(i), members.point(j), members.point(k))
-            return _report("projective_cap", False, witness, count, t0)
-    return _report("projective_cap", True, None, comb(m, 3), t0)
+    kernel = _Kernel(target, members.dim, members.ranks)
+    hits = _hits_other(target)  # p = -x has third 0, which is not in D
+    first = kernel.first_hit(0, m, hits)
+    if first is None:
+        return _report("projective_cap", True, None, comb(m, 3), t0)
+    i = first[0]
+    found = []  # the (partner, third) indices into D of every hit of anchor i
+    for j0, tile in kernel._block_tiles(i, i + 1):
+        p = np.flatnonzero(hits(tile, j0))
+        found.append(np.stack([j0 + p, np.searchsorted(target, tile[p, 0])]))
+    pairs = np.sort(cls[np.concatenate(found, axis=1)], axis=0)
+    j, k = (int(c) for c in pairs[:, np.argmin(pairs[0] * m + pairs[1])])
+    count = comb(m, 3) - comb(m - i, 3) + pair_index(m - i - 1, j - i - 1, k - i - 1) + 1
+    witness = (members.point(i), members.point(j), members.point(k))
+    return _report("projective_cap", False, witness, count, t0)

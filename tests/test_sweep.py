@@ -63,55 +63,94 @@ def kernel_ranks(dim, seed):
     return np.unique(np.concatenate([spread, run]))
 
 
-def coordinate_thirds(ranks, dim, i, start):
-    """Ranks of -(x + y) for anchor ranks[i] and partners ranks[start:], by coordinates."""
+def coordinate_thirds(anchor, partners, dim):
+    """Ranks of -(anchor + p) for each rank p of partners, by coordinates."""
     place = np.array(POW3[:dim], dtype=np.int64)
-    coords = ranks[:, None] // place % 3
-    return ((-(coords[i] + coords[start:])) % 3 * place).sum(axis=1)
+    return ((-(anchor // place % 3 + partners[:, None] // place % 3)) % 3 * place).sum(axis=1)
+
+
+def expected_tile(kernel, b0, b1, j0, rows, dim):
+    return np.stack([coordinate_thirds(a, kernel.partners[j0 : j0 + rows], dim) for a in kernel.anchors[b0:b1]], axis=1)
 
 
 @pytest.mark.parametrize("dim", range(1, 40))
-def test_kernel_thirds_match_coordinate_arithmetic(dim):
-    # dims 1-39 cross every group-count boundary: 8/9, 16/17, 24/25, 32/33
-    ranks = kernel_ranks(dim, dim)
-    m = ranks.size
+def test_kernel_thirds_match_coordinate_arithmetic(dim, monkeypatch):
+    # _block_tiles, with the anchors a second array and with the partners
+    # themselves; dims 1-39 cross every group-count boundary: 8/9, 16/17,
+    # 24/25, 32/33. Small blocks and tiles (a block's own tile still fits)
+    # give a run of equal top groups several blocks and a span several tiles
+    monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
+    monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
+    partners, anchors = kernel_ranks(dim, dim), kernel_ranks(dim, 100 + dim)
+    n = partners.size
     rng = np.random.default_rng(1000 + dim)
-    kernel = _Kernel(ranks, dim)
-    calls = [(i, i + 1) for i in range(m)]  # ascending anchors, the last with no partner
-    calls += [(int(rng.integers(m)), int(rng.integers(m + 1))) for _ in range(30)]
-    calls += [(m // 2, 0), (m // 2, 0), (m - 1, m)]  # a repeated anchor; an empty tail
-    for i, start in calls:
-        got = kernel.thirds(ranks[i], start)
-        assert np.array_equal(got, coordinate_thirds(ranks, dim, i, start)), (i, start)
+    for kernel in (_Kernel(partners, dim, anchors), _Kernel(partners, dim)):
+        m = kernel.anchors.size
+        blocks = list(kernel._blocks(0, m))
+        assert blocks[0][0] == 0 and blocks[-1][1] == (m if kernel.cross else n - 1)
+        assert all(b1 == c0 for (_, b1), (c0, _) in zip(blocks, blocks[1:]))
+        top = kernel.anchors // kernel.groups[0][0] if dim > 8 else np.zeros(m)  # one group: any run
+        assert all(b1 - b0 <= 8 and len(set(top[b0:b1])) == 1 for b0, b1 in blocks)
+        calls = [(b0, b1, None) for b0, b1 in blocks]
+        calls += [(i, i + 1, None) for i in rng.choice(m - 1, 5)]  # one-anchor blocks
+        lo = int(blocks[-1][1]) if not kernel.cross else 0
+        spans = [(lo, lo), (lo, min(n, lo + 3)), (min(n, lo + 3), n)]  # an empty span first
+        calls += [(b0, b1, spans) for b0, b1 in blocks[:: max(1, len(blocks) // 3)]]
+        calls += [(blocks[0][0], blocks[0][1], [])]
+        for b0, b1, spans in calls:
+            expect = spans if spans is not None else [(0, n)] if kernel.cross else [(b1, n)]
+            seen = []
+            for j0, tile in kernel._block_tiles(b0, b1, spans):
+                assert tile.dtype == np.intp and tile.shape[1] == b1 - b0
+                assert np.array_equal(tile, expected_tile(kernel, b0, b1, j0, tile.shape[0], dim)), (b0, b1, j0)
+                seen.append((j0, j0 + tile.shape[0]))
+            if not kernel.cross:  # the own triangle first
+                assert seen.pop(0) == (b0, b1)
+            assert [j for s, e in seen for j in range(s, e)] == [j for s, e in expect for j in range(s, e)]
 
 
 @pytest.mark.parametrize("dim", [5, 15, 21, 39])
 def test_kernel_hits_match_isin(dim):
-    ranks = kernel_ranks(dim, 2 * dim)
+    # _Kernel.first_hit; with bits, the mask holds bit values, as the cap
+    # sweep's bitmap gather does
+    partners, anchors = kernel_ranks(dim, 2 * dim), kernel_ranks(dim, 3 * dim)
     rng = np.random.default_rng(dim)
-    thirds = coordinate_thirds(ranks, dim, 0, 1)
-    picked = rng.choice(thirds, thirds.size // 2, replace=False)
-    target = np.unique(np.concatenate([picked, rng.integers(0, POW3[dim], 20, dtype=np.int64)]))
-    kernel = _Kernel(ranks, dim)
-    for i in range(ranks.size):
-        for start in (0, i + 1):
-            thirds = coordinate_thirds(ranks, dim, i, start)
-            found = np.flatnonzero(np.isin(thirds, target))
-            js, ks = kernel.hits(ranks[i], target, start)
-            assert np.array_equal(js, found + start)
-            assert np.array_equal(target[ks], thirds[found])
-    js, ks = kernel.hits(ranks[0], target[:0])
-    assert js.size == ks.size == 0
+    for kernel, bits in itertools.product((_Kernel(partners, dim, anchors), _Kernel(partners, dim)), (False, True)):
+        m = kernel.anchors.size
+        last = m if kernel.cross else partners.size - 1
+        for pick in (0, m // 2, last - 1, None):
+            noise = rng.integers(0, POW3[dim], 5, dtype=np.int64)
+            if pick is None:
+                target = noise
+            else:
+                start = 0 if kernel.cross else pick + 1
+                thirds = coordinate_thirds(kernel.anchors[pick], partners[start:], dim)
+                target = np.concatenate([noise, rng.choice(thirds, 2)])
+            target = np.unique(target)
+
+            def hits(tile, j0):
+                found = np.isin(tile, target)
+                return found.astype(np.uint8) << 4 if bits else found
+
+            for a0, a1 in [(0, m), (0, 0), (m // 2, m), (1, m // 2), (last - 1, m)]:
+                expect = None
+                for i in range(a0, min(a1, last)):
+                    start = 0 if kernel.cross else i + 1
+                    thirds = coordinate_thirds(kernel.anchors[i], partners[start:], dim)
+                    found = np.flatnonzero(np.isin(thirds, target))
+                    if found.size:
+                        expect = (i, start + int(found[0]), int(thirds[found[0]]))
+                        break
+                assert kernel.first_hit(a0, a1, hits) == expect, (pick, a0, a1)
 
 
 # --- anchor blocks against the per-anchor reference ----------------------------
 
 
 def reference_outcome(s, mode):
-    """(violation, pairs_examined, covered ranks) of a per-anchor sweep on _Kernel.thirds."""
+    """(violation, pairs_examined, covered ranks) of a per-anchor sweep on coordinate arithmetic."""
     ranks, m = s.ranks, len(s)
-    kernel = _Kernel(ranks, s.dim)
-    rows = [kernel.thirds(ranks[i], i + 1).copy() for i in range(m - 1)]
+    rows = [coordinate_thirds(ranks[i], ranks[i + 1 :], s.dim) for i in range(m - 1)]
     first, examined = None, pairs_total(m)
     for i, thirds in enumerate(rows):
         hit = np.flatnonzero(np.isin(thirds, ranks))

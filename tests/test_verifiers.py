@@ -2,6 +2,7 @@
 import collections
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -818,14 +819,28 @@ def brute_condition2(p1, p3):
 
 def brute_projective(a):
     """Lexicographic triple scan: x, y, z are dependent iff x + b*y + c*z = 0
-    for some nonzero b, c (no member is zero and no two are proportional)."""
+    for some nonzero b, c (no member is zero and no two are proportional).
+    For each x every later pair (y, z) is tested at once: -(x + b*y) and c*z
+    are compared coordinatewise, through a base-3 code of each vector."""
+    points = list(a.points())
+    m = len(points)
+    coords = np.array(points, dtype=np.int64).reshape(m, a.dim)
+    code = np.array([3**e for e in range(a.dim)], dtype=np.int64)
+    scale = np.array([1, 2])[:, None, None]
     count = 0
-    for x, y, z in itertools.combinations(a.points(), 3):
-        count += 1
-        for b in (1, 2):
-            for c in (1, 2):
-                if zero_sum(x, tuple(b * t for t in y), tuple(c * t for t in z)):
-                    return False, (x, y, z), count
+    for i in range(m - 2):
+        later, size = coords[i + 1 :], m - 1 - i
+        want = (-(coords[i] + scale * later)) % 3 @ code  # [b, y]
+        have = scale * later % 3 @ code  # [c, z]
+        zero = (want[:, None, :, None] == have[None, :, None, :]).any(axis=(0, 1))  # [y, z]
+        zero &= np.tri(size, size, -1, dtype=bool).T  # z after y
+        rows = np.flatnonzero(zero.any(axis=1))
+        if rows.size:
+            j = int(rows[0])
+            k = int(np.flatnonzero(zero[j])[0])
+            count += j * (size - 1) - j * (j - 1) // 2 + k - j  # the pairs up to (y, z)
+            return False, (points[i], points[i + 1 + j], points[i + 1 + k]), count
+        count += size * (size - 1) // 2
     return True, None, count
 
 
@@ -887,6 +902,48 @@ def test_cross_checks_above_bitmap_dim(dim):
     for s in (reps, dependent):
         assert outcome(is_projective_cap(s)) == brute_projective(s)
     assert not is_projective_cap(dependent).passed
+
+
+@pytest.mark.parametrize("dim", [13, 21])
+def test_cross_checks_across_anchor_blocks(dim):
+    # p1 holds 270 members of top digit group 1, two anchor blocks, and 20 of
+    # later top values. A hit is planted at an anchor of the first block, of
+    # the second block (same top value) and of a later top value; the
+    # operands without it pass, so the planted anchor is the first to hit.
+    rng = np.random.default_rng(dim)
+    place = POW3[f3core._digit_groups(dim)[0][0]]
+    run = place + rng.choice(place, 270, replace=False)
+    p1 = PointSet(dim, np.unique(np.concatenate([run, rng.integers(2 * place, POW3[dim], 20)])))
+    p2, p3 = (PointSet(dim, np.unique(rng.integers(0, POW3[dim], 8))) for _ in range(2))
+    anchors = (100, 260, len(p1) - 10)
+    assert [int(p1.ranks[i]) // place for i in anchors[:2]] == [1, 1] and p1.ranks[anchors[2]] >= 2 * place
+    assert brute_condition1(p1, p2, p3)[0] and brute_condition2(p1, p3)[0]
+    reps = p1 if dim > 20 else None  # at 21, random representatives are a projective cap
+    if reps is not None:
+        verifiers.check_projective_representatives(reps)
+        assert outcome(is_projective_cap(reps)) == brute_projective(reps) == (True, None, comb(len(reps), 3))
+    for ix in anchors:
+        x = p1.point(ix)
+        c1 = extend(p3, third_point(x, p2.point(3)))
+        expected = brute_condition1(p1, p2, c1)
+        assert expected[1][0] == x
+        assert outcome(check_condition1(p1, p2, c1)) == expected
+        w = unrank(int(rng.integers(POW3[dim])), dim)
+        c2 = union_sets([p3, PointSet.from_points([w, third_point(x, w)])])
+        expected = brute_condition2(p1, c2)
+        assert expected[1][0] == x
+        assert outcome(check_condition2(p1, c2)) == expected
+        if reps is None:
+            continue
+        # z = x + b*y for a later y, above x in rank and proportional to no member
+        for j, b in itertools.product(range(len(reps) - 1, ix, -1), (1, 2)):
+            z = tuple((s + b * t) % 3 for s, t in zip(x, reps.point(j)))
+            if rank(z) > rank(x) and z not in reps and int(neg_ranks([rank(z)], dim)[0]) not in reps.ranks:
+                break
+        dependent = extend(reps, z)
+        expected = brute_projective(dependent)
+        assert expected[1][0] == x
+        assert outcome(is_projective_cap(dependent)) == expected
 
 
 # --- projective caps --------------------------------------------------------------
