@@ -65,8 +65,14 @@ sentinels; a worker that exits with a nonzero code raises WorkerError, and
 on any error the workers still running are terminated. When all have
 exited, the parent takes the least hit and packs the pages of the scratch
 that hold data, skipping its holes: no sweep merges coverage. A lone
-payload (one chunk, one share or one thread) runs in this process. The
-coverage is the one source of third points for both completeness checks.
+payload (one chunk, one share or one thread) runs in this process.
+
+The coverage is the source of third points for both completeness checks,
+but for a set with fewer pairs than points outside it: such a set cannot
+be complete, and first_uncovered finds its witness, the least rank neither
+a member nor a third point, by testing the least non-members on the pair
+kernel against the cap sweep's member mask, at most about m/2 of them, so
+never more third points than the sweep it replaces.
 """
 from __future__ import annotations
 
@@ -326,6 +332,24 @@ class _Kernel:
                 return first
         return None
 
+    def first_miss(self, a0: int, a1: int, hits) -> int | None:
+        """The first anchor of [a0, a1) that has no pair that hits, or None.
+
+        For a kernel whose anchors are a second array; hits is a tile mask
+        as for first_hit. A block's tiles stop once each of its anchors has
+        a hit, and the search ends with the first block that has an anchor
+        without one.
+        """
+        for b0, b1 in self._blocks(a0, a1):
+            hit = np.zeros(b1 - b0, bool)
+            for j0, tile in self._block_tiles(b0, b1):
+                hit |= hits(tile, j0).any(axis=0)
+                if hit.all():
+                    break
+            else:
+                return b0 + int(np.argmin(hit))
+        return None
+
 
 def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which values are in the nonempty sorted array target, and where each would sit."""
@@ -334,17 +358,48 @@ def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return target[at] == values, at
 
 
-def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, members=None, stop=None):
+def member_hits(ps: PointSet):
+    """Tile mask of the pairs whose third point is a member of ps, for _Kernel.first_hit and first_miss.
+
+    A gather from the packed member bitmap, built here once, up to
+    MAX_BITMAP_DIM; a binary search in the sorted ranks above it, where no
+    3^dim bitmap fits.
+    """
+    ranks = ps.ranks
+    if ps.dim > MAX_BITMAP_DIM:
+        return lambda tile, j0: _in_sorted(ranks, tile)[0]
+    members = SpaceBitmap.from_ranks(ranks, ps.dim).buf
+    return lambda tile, j0: np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
+
+
+def first_uncovered(ps: PointSet, hits) -> int | None:
+    """The least rank that is neither a member of ps nor the third point of a pair, or None.
+
+    The candidates are the least non-members, at most max(1, ceil((m - 1) / 2))
+    of them, so the search computes at most m(m - 1)/2 + m third points, no
+    more than a sweep of all pairs. A candidate t is covered iff -(x + t) is
+    a member for some member x; t is not a member, so -(x + t) is never x.
+    That is a kernel with the candidates as its anchors and the members as
+    its partners, hits being the member mask of member_hits(ps). None means
+    every candidate is covered.
+    """
+    m = len(ps)
+    budget = max(1, m // 2)
+    span = np.arange(min(budget + m, POW3[ps.dim]), dtype=np.int64)
+    candidates = np.setdiff1d(span, ps.ranks, assume_unique=True)[:budget]
+    miss = _Kernel(ps.ranks, ps.dim, candidates).first_miss(0, candidates.size, hits)
+    return None if miss is None else int(candidates[miss])
+
+
+def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, hits=None, stop=None):
     """Scan the listed chunks in ascending order, block by block.
 
     Given the byte scratch marks of 3^dim bytes (up to dimension 18;
     _scan_windows covers above it), store 1 at the third point of every pair
     and return None. Otherwise return (i, j, third rank) of the first pair
-    whose third point is a member, or None; it stops early at a chunk beyond
-    one where another worker already found a violation. Membership is a gather
-    from the packed member bitmap members when one is given (up to
-    MAX_BITMAP_DIM) and a binary search in the sorted ranks otherwise, where
-    no 3^dim bitmap fits; _Kernel.first_hit finds the first pair of a chunk.
+    whose third point is a member by the mask hits of member_hits, or None;
+    it stops early at a chunk beyond one where another worker already found
+    a violation. _Kernel.first_hit finds the first pair of a chunk.
     """
     kernel = _Kernel(ranks, dim)
     if marks is not None:
@@ -353,12 +408,6 @@ def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, members=None, st
                 for j0, tile in kernel._block_tiles(b0, b1):
                     marks[tile[_below(tile.shape[1])] if j0 == b0 else tile] = 1
         return None
-    if members is not None:
-        def hits(tile, j0):
-            return np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
-    else:
-        def hits(tile, j0):
-            return _in_sorted(ranks, tile)[0]
     for idx in indices:
         if stop is not None and stop.value < idx:
             break
@@ -507,8 +556,12 @@ def _worker_main(scan, payload, hit, counter) -> None:
         hit[:] = first
 
 
-def run_sweep(task: SweepTask) -> SweepOutcome:
-    """Examine every unordered pair of the task's point set exactly once."""
+def run_sweep(task: SweepTask, hits=None) -> SweepOutcome:
+    """Examine every unordered pair of the task's point set exactly once.
+
+    A cap sweep tests membership with hits, the mask of member_hits, which
+    is built here when not given.
+    """
     if task.mode not in ("cap", "coverage"):
         raise ValueError(f"unknown sweep mode {task.mode!r}")
     ps = task.points
@@ -528,7 +581,8 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
     if coverage and ps.dim > _SCRATCH_DIM_LIMIT:
         first, cov = None, _cover_windows(ps, threads, progress)
     else:
-        first, cov = _sweep_chunks(ps, coverage, task.chunk_pairs, threads, progress)
+        hits = None if coverage else (hits or member_hits(ps))
+        first, cov = _sweep_chunks(ps, hits, task.chunk_pairs, threads, progress)
 
     if coverage:
         progress.finish(total)
@@ -547,18 +601,21 @@ def run_sweep(task: SweepTask) -> SweepOutcome:
     return SweepOutcome(violation, None, pair_index(m, i, j) + 1)
 
 
-def _sweep_chunks(ps, coverage, chunk_pairs, threads, progress):
-    """(first violation, coverage) of a sweep of fixed chunks, shared out among at most threads scans."""
+def _sweep_chunks(ps, hits, chunk_pairs, threads, progress):
+    """(first violation, coverage) of a sweep of fixed chunks, shared out among at most threads scans.
+
+    A cap sweep tests membership with the mask hits; without one it is a coverage sweep.
+    """
+    coverage = hits is None
     chunks = make_chunks(len(ps), chunk_pairs)
     parts = [part.tolist() for part in np.array_split(np.arange(len(chunks)), min(threads, len(chunks)))]
-    members = SpaceBitmap.from_ranks(ps.ranks, ps.dim).buf if not coverage and ps.dim <= MAX_BITMAP_DIM else None
     stop = mp.get_context("fork").Value("q", len(chunks))
     fd = os.memfd_create("capset-coverage") if coverage else -1
     try:
         marks = _shared_zeros(POW3[ps.dim], fd) if coverage else None
 
         def scan(part, progress_cb):
-            return _scan(ps.ranks, ps.dim, chunks, part, progress_cb, marks, members, stop)
+            return _scan(ps.ranks, ps.dim, chunks, part, progress_cb, marks, hits, stop)
 
         first = _run_workers(scan, parts, progress)
         return first, _pack(marks, fd, ps.dim) if coverage else None

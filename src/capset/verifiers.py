@@ -12,7 +12,13 @@ P-sets) read the sweep's pair coverage in place, block by block through
 SpaceBitmap.missing_ranks, and drop the members from each block by binary
 search in the sorted ranks: the ranks left are the points outside the set on
 no line with two members. Neither copies the coverage or builds a member
-bitmap.
+bitmap. verify_cap_and_complete takes that path only for a set that might
+be complete. A set of m members with m(m - 1)/2 < 3^n - m pairs leaves some
+outside point uncovered, since a pair covers one point; its cap report comes
+from the early-exit cap sweep, as is_cap's does, and its witness from
+sweep.first_uncovered on the sweep's member mask, with no 3^n coverage and
+so at every dimension up to 39. The coverage sweep still runs when every
+candidate of that bounded search is covered.
 
 Zero supports are read from the ranks (f3core.zero_masks, one int64 per
 member), never from a coordinate matrix. Zero tests run once per distinct
@@ -40,7 +46,17 @@ from .f3core import (
     unrank,
     zero_masks,
 )
-from .sweep import _Kernel, SweepTask, _in_sorted, pair_index, pairs_total, resolve_threads, run_sweep
+from .sweep import (
+    _Kernel,
+    SweepTask,
+    _in_sorted,
+    first_uncovered,
+    member_hits,
+    pair_index,
+    pairs_total,
+    resolve_threads,
+    run_sweep,
+)
 
 
 @dataclass
@@ -140,16 +156,32 @@ def coverage_complete(s: PointSet, coverage: SpaceBitmap, pairs: int = 0, t0: fl
 def verify_cap_and_complete(
     s: PointSet, threads: int | None = None, progress: bool = False
 ) -> tuple[VerifyReport, VerifyReport | None]:
-    """Cap and completeness reports from one shared coverage sweep.
+    """Cap and completeness reports, from one coverage sweep unless the set has too few pairs.
 
-    When the cap check fails, completeness is undefined and None is returned
-    in its place.
+    Each pair covers at most one point, so a set of m members with
+    m(m - 1)/2 < 3^n - m leaves a point outside uncovered and cannot be
+    complete. For such a set the cap sweep (is_cap's, with its early-exit
+    count on a failure) gives the cap report, and first_uncovered the
+    canonical completeness witness; only if every one of its candidates is
+    covered does the coverage sweep run, as it does for every set that
+    might be complete. When the cap check fails, completeness is undefined
+    and None is returned in its place. Both reports count the pairs of the
+    sweep.
     """
     t0 = time.perf_counter()
     workers = resolve_threads(threads)
-    outcome = run_sweep(
-        SweepTask(points=s, mode="coverage", threads=threads, progress=progress)
-    )
+    m, outcome = len(s), None
+    if pairs_total(m) < POW3[s.dim] - m:
+        hits = member_hits(s)
+        outcome = run_sweep(SweepTask(points=s, mode="cap", threads=threads, progress=progress), hits)
+        missing = first_uncovered(s, hits) if outcome.violation is None else None
+        del hits  # the member bitmap is not kept through a coverage sweep
+        if missing is not None:
+            cap_rep = _report("cap", True, None, outcome.pairs_examined, t0, workers)
+            witness = (unrank(missing, s.dim),)
+            return cap_rep, _report("complete_cap", False, witness, outcome.pairs_examined, t0, workers)
+    if outcome is None or outcome.violation is None:  # the set might be complete, or every candidate is covered
+        outcome = run_sweep(SweepTask(points=s, mode="coverage", threads=threads, progress=progress))
     if outcome.violation is not None:
         witness = tuple(unrank(r, s.dim) for r in outcome.violation)
         return _report("cap", False, witness, outcome.pairs_examined, t0, workers), None

@@ -337,6 +337,40 @@ def test_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, flags, env, mess
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("dim", [21, 39])
+def test_verify_complete_above_dimension_20(tmp_path, capsys, dim):
+    # a sparse cap has fewer pairs than outside points, so its completeness
+    # witness needs no 3^n bitmap; it is checked here by coordinate arithmetic
+    rng = np.random.default_rng(dim)
+    bits = rng.integers(0, 2, (150, dim))
+    # pairs of members whose third points are 0...01 and 0...10: with the
+    # negations, ranks 1, 2, 3 and 6 are covered
+    for row, last in ((0, (0, 1)), (2, (1, 0))):
+        bits[row + 1] = bits[row] ^ 1
+        for col, digit in zip((-2, -1), last):
+            # coordinates c, c' with -(c + c') = digit: 1 and 2, 1 and 1, or 2 and 2
+            bits[row, col], bits[row + 1, col] = ((0, 1), (0, 0), (1, 1))[digit]
+    places = 3 ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    ranks = np.unique(np.concatenate([(bits + 1) @ places, (2 - bits) @ places]))  # B(n), closed under negation
+    path, report = tmp_path / f"b{dim}.caps", tmp_path / "report.json"
+    write_capset(PointSet(dim, ranks), path)
+    code, _, err = run(capsys, "verify", str(path), "--complete", "--threads", "2", "--report-json", str(report))
+    assert (code, err) == (1, "")
+    checks = {c["check"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["cap"]["passed"] and not checks["complete"]["passed"]
+    (w,) = checks["complete"]["witness"]
+    members = {tuple(c) for c in (ranks[:, None] // places) % 3}
+
+    def covered(point):
+        return point in members or any(tuple((-(np.array(x) + point)) % 3) in members for x in members)
+
+    witness = tuple(int(c) for c in w)
+    assert not covered(witness)
+    # every lesser point is a member or a third point, so the witness is the least
+    least = int(np.array(witness) @ places)
+    assert least > 3 and all(covered(tuple((r // places) % 3)) for r in range(least))
+
+
 # Runs the CLI with sys.argv[1:] under a patch that the forked sweep workers
 # inherit: a worker repeats its tiles without end, so it is still scanning
 # when the SIGINT arrives, however fast the kernel is.
@@ -392,18 +426,29 @@ def interrupt_verify(path):
 
 def test_ctrl_c_stops_forked_workers(tmp_path):
     # a real SIGINT to the whole process group while both workers scan a
-    # dim-18 cap (byte coverage, which forks workers): only the parent
-    # reports it, and it leaves no process behind
+    # dim-18 cap: only the parent reports it, and it leaves no process
+    # behind. Its 127,992,000 pairs are fewer than the 3^18 - 16,000 points
+    # outside, so the workers run the cap sweep before the witness search
     path = tmp_path / "b18.caps"
     ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 16_000, replace=False)
     write_capset(PointSet(18, ranks), path)
     assert interrupt_verify(path) == (2, "error: interrupted\n")
 
 
+def test_ctrl_c_stops_byte_coverage_workers(tmp_path):
+    # the same where the workers fill the byte coverage: 27,900 points of
+    # B(18) have at least 3^18 - 27,900 pairs, so the set might be complete
+    path = tmp_path / "b18.caps"
+    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 27_900, replace=False)
+    write_capset(PointSet(18, ranks), path)
+    assert interrupt_verify(path) == (2, "error: interrupted\n")
+
+
 def test_ctrl_c_stops_window_workers(tmp_path):
-    # the same at dimension 19, where two workers own the runs of coverage windows
+    # the same at dimension 19, where two workers own the runs of coverage
+    # windows: 48,300 points of B(19) have at least 3^19 - 48,300 pairs
     path = tmp_path / "b19.caps"
-    ranks = np.random.default_rng(19).choice(gen_B(19).ranks, 2_000, replace=False)
+    ranks = np.random.default_rng(19).choice(gen_B(19).ranks, 48_300, replace=False)
     write_capset(PointSet(19, ranks), path)
     assert interrupt_verify(path) == (2, "error: interrupted\n")
 

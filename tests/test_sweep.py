@@ -144,6 +144,29 @@ def test_kernel_hits_match_isin(dim):
                 assert kernel.first_hit(a0, a1, hits) == expect, (pick, a0, a1)
 
 
+@pytest.mark.parametrize("dim", [5, 15, 21, 39])
+def test_kernel_first_miss_matches_isin(dim, monkeypatch):
+    # _Kernel.first_miss over several blocks of several tiles: the target
+    # holds every third point but those of one anchor, or all of them
+    monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
+    monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
+    partners, anchors = kernel_ranks(dim, 4 * dim), kernel_ranks(dim, 5 * dim)
+    kernel, m = _Kernel(partners, dim, anchors), anchors.size
+    rows = [coordinate_thirds(a, partners, dim) for a in anchors]
+    for pick, bits in itertools.product((0, m // 2, m - 1, None), (False, True)):
+        target = np.unique(np.concatenate(rows))
+        if pick is not None:
+            target = np.setdiff1d(target, rows[pick])
+
+        def hits(tile, j0):
+            found = np.isin(tile, target)
+            return found.astype(np.uint8) << 4 if bits else found
+
+        for a0, a1 in [(0, m), (0, 0), (m // 2, m), (1, m // 2), (m - 1, m)]:
+            expect = next((i for i in range(a0, a1) if not np.isin(rows[i], target).any()), None)
+            assert kernel.first_miss(a0, a1, hits) == expect, (pick, a0, a1)
+
+
 # --- anchor blocks against the per-anchor reference ----------------------------
 
 

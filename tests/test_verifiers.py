@@ -1,5 +1,6 @@
 """Property checkers: caps, completeness, P-set conditions, witnesses."""
 import collections
+import functools
 import itertools
 import random
 from math import comb
@@ -38,11 +39,12 @@ from capset.f3core import (
     unrank,
     zero_masks,
 )
-from capset.sweep import SweepTask, pairs_total, run_sweep
+from capset.sweep import SweepTask, first_uncovered, member_hits, pairs_total, run_sweep
 from capset.verifiers import (
     check_condition1,
     check_condition2,
     check_condition3,
+    coverage_complete,
     is_b_saturated,
     is_cap,
     is_complete_cap,
@@ -260,6 +262,101 @@ def test_combined_equals_separate():
             assert comp_rep is not None
         else:
             assert comp_rep is None
+
+
+def fewer_pairs_than_outside(m, dim):
+    return pairs_total(m) < POW3[dim] - m
+
+
+def bounded_sets(seed):
+    """Seeded sets of dimensions 1-12 with fewer pairs than outside points.
+
+    Per dimension: random ranks, a B(n) subset (a cap), a B(n) subset closed
+    under negation with a planted line through two of its members, and
+    random ranks at the largest size the bound allows (capped at 200).
+    """
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 13):
+        top = max(m for m in range(201) if fewer_pairs_than_outside(m, dim))
+        b = gen_B(dim).ranks
+        half = rng.choice(b, int(rng.integers(1, min(top, b.size) // 2 + 2)), replace=False)
+        closed = np.union1d(half, neg_ranks(half, dim))
+        if closed.size >= 2:
+            p, q = (unrank(int(r), dim) for r in rng.choice(closed, 2, replace=False))
+            closed = np.union1d(closed, [rank(third_point(p, q))])
+        for ranks in (
+            rng.choice(POW3[dim], int(rng.integers(0, top + 1)), replace=False),
+            rng.choice(b, int(rng.integers(0, min(top, b.size) + 1)), replace=False),
+            closed,
+            rng.choice(POW3[dim], top, replace=False),
+        ):
+            s = PointSet(dim, np.unique(ranks))
+            if fewer_pairs_than_outside(len(s), dim):
+                yield s
+
+
+@pytest.fixture
+def sweep_modes(monkeypatch):
+    """The modes of the sweeps that verifiers runs, in order."""
+    modes = []
+
+    def recording_sweep(task, *args):
+        modes.append(task.mode)
+        return run_sweep(task, *args)
+
+    monkeypatch.setattr(verifiers, "run_sweep", recording_sweep)
+    return modes
+
+
+@pytest.mark.parametrize("chunk_pairs", [7, 500, 10**7])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_witness_first_matches_coverage_path(threads, chunk_pairs, monkeypatch, sweep_modes):
+    # a set with fewer pairs than outside points takes the cap sweep and the
+    # witness search; the coverage sweep, called directly, is the reference
+    monkeypatch.setattr(verifiers, "SweepTask", functools.partial(SweepTask, chunk_pairs=chunk_pairs))
+    searched = failing = 0
+    for s in bounded_sets(2000 + 10 * threads + len(str(chunk_pairs))):
+        sweep_modes.clear()
+        cap_rep, comp_rep = verify_cap_and_complete(s, threads=threads)
+        assert sweep_modes[0] == "cap"
+        searched += "coverage" not in sweep_modes
+        ref = run_sweep(SweepTask(s, "coverage", chunk_pairs=chunk_pairs, threads=threads))
+        assert cap_rep.passed == (ref.violation is None)
+        if ref.violation is not None:
+            failing += 1
+            assert cap_rep.witness == tuple(unrank(r, s.dim) for r in ref.violation)
+            solo = is_cap(s, threads=threads)
+            assert (cap_rep.witness, cap_rep.pairs_examined) == (solo.witness, solo.pairs_examined)
+            assert comp_rep is None
+            continue
+        assert cap_rep.pairs_examined == comp_rep.pairs_examined == pairs_total(len(s))
+        ref_comp = coverage_complete(s, ref.coverage)
+        assert not ref_comp.passed
+        assert (comp_rep.passed, comp_rep.witness) == (False, ref_comp.witness)
+    assert searched > 30 and failing > 15
+
+
+def test_witness_search_budget_falls_back_to_coverage(sweep_modes, capsys, tmp_path):
+    # the complete 112-point cap in the last 6 coordinates of dimension 10:
+    # its 6,216 pairs are fewer than 3^10 - 112, yet every rank below 3^6 is
+    # a member or covered, so the search exhausts its budget of 56 candidates
+    s = PointSet(10, C112.ranks)
+    assert fewer_pairs_than_outside(len(s), 10) and POW3[6] > len(s) + 56
+    assert first_uncovered(s, member_hits(s)) is None
+    cap_rep, comp_rep = verify_cap_and_complete(s, threads=2)
+    assert sweep_modes == ["cap", "coverage"]
+    ref = coverage_complete(s, run_sweep(SweepTask(s, "coverage", threads=1)).coverage)
+    assert cap_rep.passed and (comp_rep.passed, comp_rep.witness) == (False, ref.witness)
+    assert ref.witness == (unrank(POW3[6], 10),)  # the least point off the subspace
+    # the twin at dimension 21 still needs the 3^21 coverage bitmap
+    twin = PointSet(21, C112.ranks)
+    with pytest.raises(CapacityError):
+        verify_cap_and_complete(twin, threads=1)
+    path = tmp_path / "c112_dim21.caps"
+    write_capset(twin, path)
+    capsys.readouterr()
+    assert cli_main(["verify", str(path), "--complete", "--threads", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: dimension 21 exceeds bitmap capacity")
 
 
 # --- P-set checks --------------------------------------------------------------
