@@ -33,6 +33,19 @@ slab of the coverage scratch or the member bitmap, and the scatter and the
 membership gather stay in cache. The verifiers' cross-set checks run on the
 same tiles, with the anchors from a second set and no own triangle.
 
+A search for a pair whose third point is in a set (the cap sweep, the
+witness search, the cross-set checks) prunes by window: here the window
+of a rank is its top digit group value (not the coverage windows below),
+and the thirds of a block with the partners of one top group value all
+lie in one window. Where that window
+holds no rank of the set, those partners are left out of the block's
+tiles, and the live ones are packed into full tiles that carry their
+partner indices. A pruned pair is decided by its empty window and counts
+as examined, in progress, in pairs_examined and in the order that makes
+the first hit canonical. A kernel prunes only where the share of empty
+windows times its anchors per block is large enough to pay (_PRUNE_GAIN).
+Coverage sweeps never prune: every third point is marked.
+
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, all
 chunk scans store the byte 1 at their third points in one shared 3^dim-byte
@@ -67,12 +80,13 @@ exited, the parent takes the least hit and packs the pages of the scratch
 that hold data, skipping its holes: no sweep merges coverage. A lone
 payload (one chunk, one share or one thread) runs in this process.
 
-The coverage is the source of third points for both completeness checks,
-but for a set with fewer pairs than points outside it: such a set cannot
-be complete, and first_uncovered finds its witness, the least rank neither
-a member nor a third point, by testing the least non-members on the pair
-kernel against the cap sweep's member mask, at most about m/2 of them, so
-never more third points than the sweep it replaces.
+The coverage is the source of third points for is_complete_pset, and for
+a complete cap. verify_cap_and_complete first runs first_uncovered, which
+looks for the completeness witness, the least rank neither a member nor a
+third point, by testing the least non-members on the pair kernel against
+the cap sweep's member mask, at most about m/2 of them, so never more third
+points than a sweep; only when every one of them is covered does the
+coverage sweep run.
 """
 from __future__ import annotations
 
@@ -108,6 +122,19 @@ PROGRESS_INTERVAL = 1.0
 # (2^16 ran faster than 2^18 on the ag15 subset).
 _BLOCK_ANCHORS = 256
 _TILE_ITEMS = 1 << 16
+
+# Window pruning (see _Kernel) costs a few numpy passes per live partner of
+# every block and a pass over the partner classes, and saves the K thirds of
+# each pruned partner of a K-anchor block. A kernel prunes only when (share
+# of top-group values that hold no target rank) x (mean anchors per
+# occupied top-group value of the anchors) is at least _PRUNE_GAIN. Cap
+# sweeps at threads 1 with pruning forced on against off (median of 3, on a
+# 2-vCPU Xeon VM), by that product: random ranks at dimensions 12/15/19
+# (0.0-0.8) lost 4-69%; ag15 subsets of 2,000 and 3,500 points (1.8, 2.5)
+# and 500 points of B(15) (2.2) lost 9-23%; 5,000 ag15 points (3.3) gained
+# 9%, 1,000 of B(15) (3.9) 13%, 8,000 ag15 points (5.0) 44%, and B(n)
+# subsets above 7 gained 13-64%.
+_PRUNE_GAIN = 4
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -206,12 +233,26 @@ class _Kernel:
     lower group's K rows are stacked as a (3^width, K) table, and one gather
     of whole rows gives a partner's thirds with all K anchors, which differ
     only in the lower groups and so fall in one small slab of the space.
+
+    A kernel given target, the sorted ranks its hit mask tests, prunes by
+    window. The window of a rank is its top group value (8 digits at
+    dimension 15, 7 at 19): the thirds of a block's anchors (class a) with
+    the partners of class b all lie in the window of the negated digit sum
+    of a and b, so a pair can hit only if that window holds a target rank.
+    _block_tiles leaves out the partners of every empty window and packs the
+    live ones into full tiles, each tile carrying the indices of its
+    partners. A pruned pair is decided by its empty window: it counts as
+    examined in progress, pairs_examined and the choice of the first hit,
+    exactly as a scanned pair without a hit. See _PRUNE_GAIN for when
+    pruning pays.
     """
 
-    def __init__(self, partners: np.ndarray, dim: int, anchors: np.ndarray | None = None):
+    def __init__(self, partners: np.ndarray, dim: int, anchors: np.ndarray | None = None,
+                 target: np.ndarray | None = None):
         self.partners = np.asarray(partners, dtype=np.int64)
         self.cross = anchors is not None  # the anchors are a second array, with no own triangle
         self.anchors = np.asarray(anchors, dtype=np.int64) if self.cross else self.partners
+        self.index = np.arange(self.partners.size, dtype=np.intp)  # a contiguous tile's partners are a view
         split = _digit_groups(dim)
         # a single group gathers straight into the intp output
         self.dtype = np.int32 if len(split) > 1 and POW3[dim] < 2**31 else np.intp
@@ -224,6 +265,17 @@ class _Kernel:
             self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table))
             self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
         self._tiles = None  # the block buffers, made by the first block
+        self.live = None  # windows that hold a target rank, when the kernel prunes
+        if target is not None and len(split) > 1:
+            place, windows = self.groups[0][:2]
+            live = np.zeros(windows, bool)
+            live[np.asarray(target, dtype=np.int64) // place] = True
+            classes = np.count_nonzero(np.diff(self.anchors // place)) + 1
+            if (1 - live.mean()) * self.anchors.size / classes >= _PRUNE_GAIN:
+                self.live = live
+                starts = np.searchsorted(self.partners, np.arange(windows + 1) * place)
+                self._classes = np.flatnonzero(np.diff(starts))  # the top values that have partners
+                self._class_spans = starts[self._classes], starts[self._classes + 1]
 
     def _blocks(self, a0: int, a1: int, progress_cb=None):
         """Yield the anchor blocks (b0, b1) of the anchors [a0, a1) that have a partner.
@@ -253,16 +305,43 @@ class _Kernel:
         if progress_cb is not None and done:
             progress_cb(done)
 
+    def _live_tiles(self, live: np.ndarray, s: int, e: int, step: int):
+        """Yield the ascending indices of the partners in [s, e) whose class is live, at most step at a time.
+
+        live[c] tells whether the block's thirds with the c-th class of
+        partners (self._classes) fall in a window that holds a target rank.
+        Each slice is built when it is asked for, so a search that leaves a
+        block early pays only for the tiles it took.
+        """
+        starts, ends = self._class_spans
+        c0, c1 = np.searchsorted(ends, s, "right"), np.searchsorted(starts, e)
+        keep = live[c0:c1]
+        lo = np.maximum(starts[c0:c1][keep], s)
+        sizes = np.minimum(ends[c0:c1][keep], e) - lo
+        packed_end = np.cumsum(sizes)  # the live partners packed: each run ends here
+        shift = lo - (packed_end - sizes)  # a packed position plus its run's shift is a partner index
+        total = int(packed_end[-1]) if sizes.size else 0
+        for t0 in range(0, total, step):
+            t1 = min(t0 + step, total)
+            r0, r1 = np.searchsorted(packed_end, [t0, t1 - 1], "right")
+            runs = slice(r0, r1 + 1)  # the runs that hold the packed positions [t0, t1)
+            counts = np.minimum(packed_end[runs], t1) - np.maximum(packed_end[runs] - sizes[runs], t0)
+            yield np.arange(t0, t1, dtype=np.intp) + np.repeat(shift[runs], counts)
+
     def _block_tiles(self, b0: int, b1: int, spans=None, own: bool = True):
-        """Yield (j0, tile) for the pairs of the anchors in [b0, b1) with their partners.
+        """Yield (cols, tile) for the pairs of the anchors in [b0, b1) with their partners.
 
         tile[p, k] is the rank of the third point of anchors[b0 + k] and
-        partners[j0 + p], as intp. When the anchors are the partners, the
-        first tile, unless own is false, is the block against itself (j0 =
-        b0, K x K), whose pairs are its strictly lower triangle p > k. The
-        others take each partner range [s, e) of spans in ascending slices
-        of at most _TILE_ITEMS // K rows: by default all partners after the
-        block, [b1, n), or all of [0, n) when the anchors are a second array.
+        partners[cols[p]], as intp, and cols is ascending. When the anchors
+        are the partners, the first tile, unless own is false, is the block
+        against itself (cols = [b0, b1), K x K), whose pairs are its
+        strictly lower triangle p > k; only it has cols[0] == b0. The others
+        take each partner range [s, e) of spans in ascending slices of at
+        most _TILE_ITEMS // K rows: by default all partners after the
+        block, [b1, n), or all of [0, n) when the anchors are a second
+        array. A pruning kernel leaves out of all but the own tile the
+        partners of empty windows, and a range with no live partner yields
+        no tile.
         """
         n, size = self.partners.size, b1 - b0
         own = own and not self.cross
@@ -273,12 +352,13 @@ class _Kernel:
             self._top = np.empty(n, self.dtype)
             self._stacks = [np.empty(g[1] * min(_BLOCK_ANCHORS, self.anchors.size), self.dtype) for g in self.groups[shared:]]
         anchors = self.anchors[b0:b1]
+        live = None
         if shared:
             place, _, low_size, high_table, low_table = self.groups[0]
             value = int(anchors[0]) // place
             row = (high_table[value // low_size, :, None] + low_table[value % low_size]).ravel()
-            for s, e in [(b0, b1), *spans] if own else spans:
-                np.take(row, self.digits[0][s:e], out=self._top[s:e])
+            if self.live is not None:
+                live = self.live[row[self._classes] // place]
         stacks = []  # the (3^width, K) row table of each lower group
         for (place, rows, low_size, high_table, low_table), buf in zip(self.groups[shared:], self._stacks):
             value = anchors // place % rows
@@ -288,46 +368,53 @@ class _Kernel:
             stacks.append(stack)
         digits = self.digits[shared:]
 
-        def tile(j0: int, j1: int) -> np.ndarray:
-            shape = (j1 - j0, size)
-            out, total, part = (buf[: shape[0] * size].reshape(shape) for buf in self._tiles)
+        def tile(rows, count: int) -> np.ndarray:
+            # rows: a slice of the partners, or ascending partner indices
+            shape = (count, size)
+            out, total, part = (buf[: count * size].reshape(shape) for buf in self._tiles)
             # the digits are in range, and mode="clip" spares np.take a buffered copy
-            np.take(stacks[0], digits[0][j0:j1], axis=0, out=total if shared else out, mode="clip")
+            np.take(stacks[0], digits[0][rows], axis=0, out=total if shared else out, mode="clip")
             for stack, group_digits in zip(stacks[1:], digits[1:]):
-                np.take(stack, group_digits[j0:j1], axis=0, out=part, mode="clip")
+                np.take(stack, group_digits[rows], axis=0, out=part, mode="clip")
                 total += part
             if shared:
-                np.add(total, self._top[j0:j1, None], out=out)
+                np.add(total, self._top[rows, None], out=out)
             return out
 
-        if own:
-            yield b0, tile(b0, b1)
-        step = max(1, _TILE_ITEMS // size)
-        for s, e in spans:
-            for j0 in range(s, e, step):
-                yield j0, tile(j0, min(j0 + step, e))
+        step = max(1, _TILE_ITEMS // size)  # at least K: the own tile is one tile
+        for i, (s, e) in enumerate([(b0, b1), *spans] if own else spans):
+            if live is None or (own and i == 0):
+                if shared:
+                    np.take(row, self.digits[0][s:e], out=self._top[s:e])
+                for j0 in range(s, e, step):
+                    j1 = min(j0 + step, e)
+                    yield self.index[j0:j1], tile(slice(j0, j1), j1 - j0)
+                continue
+            for cols in self._live_tiles(live, s, e, step):
+                self._top[cols] = np.take(row, self.digits[0][cols])
+                yield cols, tile(cols, cols.size)
 
     def first_hit(self, a0: int, a1: int, hits, progress_cb=None) -> tuple[int, int, int] | None:
         """(anchor, partner, third rank) of the first pair of the anchors [a0, a1) that hits, or None.
 
-        hits(tile, j0) is a mask over a tile, nonzero where the pair's third
-        point is in the caller's set. The first pair is the least anchor with
-        a hit, then its least partner, so the search ends with the first
-        block that has a hit. This is the one search for a pair whose third
-        point is in a set.
+        hits(tile, cols) is a mask over a tile, nonzero where the pair's
+        third point is in the caller's set. The first pair is the least
+        anchor with a hit, then its least partner, so the search ends with
+        the first block that has a hit. This is the one search for a pair
+        whose third point is in a set.
         """
         for b0, b1 in self._blocks(a0, a1, progress_cb):
             first = None
-            for j0, tile in self._block_tiles(b0, b1):
-                hit = hits(tile, j0)
-                if j0 == b0 and not self.cross:
+            for cols, tile in self._block_tiles(b0, b1):
+                hit = hits(tile, cols)
+                if cols[0] == b0 and not self.cross:
                     # a bitmap mask holds bit values, which &= would lose
                     hit = np.logical_and(hit, _below(tile.shape[1]))
                 if hit.any():
                     k = int(np.flatnonzero(hit.any(axis=0))[0])
                     p = int(np.flatnonzero(hit[:, k])[0])
                     if first is None or b0 + k < first[0]:
-                        first = (b0 + k, j0 + p, int(tile[p, k]))
+                        first = (b0 + k, int(cols[p]), int(tile[p, k]))
             if first is not None:
                 return first
         return None
@@ -342,8 +429,8 @@ class _Kernel:
         """
         for b0, b1 in self._blocks(a0, a1):
             hit = np.zeros(b1 - b0, bool)
-            for j0, tile in self._block_tiles(b0, b1):
-                hit |= hits(tile, j0).any(axis=0)
+            for cols, tile in self._block_tiles(b0, b1):
+                hit |= hits(tile, cols).any(axis=0)
                 if hit.all():
                     break
             else:
@@ -367,9 +454,9 @@ def member_hits(ps: PointSet):
     """
     ranks = ps.ranks
     if ps.dim > MAX_BITMAP_DIM:
-        return lambda tile, j0: _in_sorted(ranks, tile)[0]
+        return lambda tile, cols: _in_sorted(ranks, tile)[0]
     members = SpaceBitmap.from_ranks(ranks, ps.dim).buf
-    return lambda tile, j0: np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
+    return lambda tile, cols: np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
 
 
 def first_uncovered(ps: PointSet, hits) -> int | None:
@@ -380,14 +467,14 @@ def first_uncovered(ps: PointSet, hits) -> int | None:
     more than a sweep of all pairs. A candidate t is covered iff -(x + t) is
     a member for some member x; t is not a member, so -(x + t) is never x.
     That is a kernel with the candidates as its anchors and the members as
-    its partners, hits being the member mask of member_hits(ps). None means
-    every candidate is covered.
+    its partners and target, hits being the member mask of member_hits(ps).
+    None means every candidate is covered.
     """
     m = len(ps)
     budget = max(1, m // 2)
     span = np.arange(min(budget + m, POW3[ps.dim]), dtype=np.int64)
     candidates = np.setdiff1d(span, ps.ranks, assume_unique=True)[:budget]
-    miss = _Kernel(ps.ranks, ps.dim, candidates).first_miss(0, candidates.size, hits)
+    miss = _Kernel(ps.ranks, ps.dim, candidates, ps.ranks).first_miss(0, candidates.size, hits)
     return None if miss is None else int(candidates[miss])
 
 
@@ -397,16 +484,17 @@ def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, hits=None, stop=
     Given the byte scratch marks of 3^dim bytes (up to dimension 18;
     _scan_windows covers above it), store 1 at the third point of every pair
     and return None. Otherwise return (i, j, third rank) of the first pair
-    whose third point is a member by the mask hits of member_hits, or None;
+    whose third point is a member by the mask hits of member_hits, or None
+    (the kernel prunes by the windows of the members);
     it stops early at a chunk beyond one where another worker already found
     a violation. _Kernel.first_hit finds the first pair of a chunk.
     """
-    kernel = _Kernel(ranks, dim)
+    kernel = _Kernel(ranks, dim, target=ranks if marks is None else None)
     if marks is not None:
         for idx in indices:
             for b0, b1 in kernel._blocks(*chunks[idx], progress_cb):
-                for j0, tile in kernel._block_tiles(b0, b1):
-                    marks[tile[_below(tile.shape[1])] if j0 == b0 else tile] = 1
+                for cols, tile in kernel._block_tiles(b0, b1):
+                    marks[tile[_below(tile.shape[1])] if cols[0] == b0 else tile] = 1
         return None
     for idx in indices:
         if stop is not None and stop.value < idx:
@@ -487,8 +575,8 @@ def _scan_windows(ranks, dim, starts, share, progress_cb, cover) -> None:
                 spans.append((s, e))
         if not (spans or mine[a, a]):
             continue
-        for j0, tile in kernel._block_tiles(b0, b1, spans, own=mine[a, a]):
-            thirds = tile[_below(tile.shape[1])] if j0 == b0 else tile
+        for cols, tile in kernel._block_tiles(b0, b1, spans, own=mine[a, a]):
+            thirds = tile[_below(tile.shape[1])] if cols[0] == b0 else tile
             cover.set_ranks(thirds)
             done += thirds.size
         if done >= 1 << 23:

@@ -12,13 +12,23 @@ P-sets) read the sweep's pair coverage in place, block by block through
 SpaceBitmap.missing_ranks, and drop the members from each block by binary
 search in the sorted ranks: the ranks left are the points outside the set on
 no line with two members. Neither copies the coverage or builds a member
-bitmap. verify_cap_and_complete takes that path only for a set that might
-be complete. A set of m members with m(m - 1)/2 < 3^n - m pairs leaves some
-outside point uncovered, since a pair covers one point; its cap report comes
-from the early-exit cap sweep, as is_cap's does, and its witness from
-sweep.first_uncovered on the sweep's member mask, with no 3^n coverage and
-so at every dimension up to 39. The coverage sweep still runs when every
-candidate of that bounded search is covered.
+bitmap. verify_cap_and_complete looks for the completeness witness first,
+with sweep.first_uncovered on the cap sweep's member mask: when it finds
+one, the early-exit cap sweep gives the cap report, as is_cap's does, with
+no 3^n coverage and so at every dimension up to 39. Only when every
+candidate of that bounded search is covered does the coverage sweep run,
+and then, for a set that cannot be complete (m(m - 1)/2 < 3^n - m: each
+pair covers one point) or whose coverage cannot be built (dimension above
+MAX_BITMAP_DIM), only after an early-exit cap sweep finds no violation, so
+such a set that is not a cap gets its verdict and witness from that sweep.
+A failed cap report counts the pairs up to the canonical violation on
+either path.
+
+The pair searches (the cap sweep, the witness search, check_condition1/2
+and is_projective_cap) give their kernel the ranks their hit mask tests,
+and the kernel leaves out the pairs whose third point lies in a window (a
+top digit group value) that holds none of them; such a pair is decided by
+its empty window and counted as examined like any pair without a hit.
 
 Zero supports are read from the ranks (f3core.zero_masks, one int64 per
 member), never from a coordinate matrix. Zero tests run once per distinct
@@ -156,38 +166,41 @@ def coverage_complete(s: PointSet, coverage: SpaceBitmap, pairs: int = 0, t0: fl
 def verify_cap_and_complete(
     s: PointSet, threads: int | None = None, progress: bool = False
 ) -> tuple[VerifyReport, VerifyReport | None]:
-    """Cap and completeness reports, from one coverage sweep unless the set has too few pairs.
+    """Cap and completeness reports: the witness search first, the coverage sweep only if it finds none.
 
-    Each pair covers at most one point, so a set of m members with
-    m(m - 1)/2 < 3^n - m leaves a point outside uncovered and cannot be
-    complete. For such a set the cap sweep (is_cap's, with its early-exit
-    count on a failure) gives the cap report, and first_uncovered the
-    canonical completeness witness; only if every one of its candidates is
-    covered does the coverage sweep run, as it does for every set that
-    might be complete. When the cap check fails, completeness is undefined
-    and None is returned in its place. Both reports count the pairs of the
-    sweep.
+    sweep.first_uncovered looks for the canonical completeness witness, the
+    least point that is neither a member nor a third point, among at most
+    max(1, ceil((m - 1)/2)) of the least non-members. When it finds one,
+    the early-exit cap sweep (is_cap's) gives the cap report, and no 3^n
+    coverage is built, so this works at every dimension up to 39. When
+    every candidate is covered, the coverage sweep decides both; a set with
+    m(m - 1)/2 < 3^n - m pairs, which cannot be complete since a pair covers
+    one point, or above MAX_BITMAP_DIM, where no coverage can be built,
+    runs the early-exit cap sweep before it, and a violation ends there.
+    When the cap check fails, completeness is undefined and None is
+    returned in its place; the cap report then counts the pairs up to the
+    canonical violation, pair_index(i, j) + 1, as is_cap's does, whichever
+    sweep found it. Otherwise both reports count every pair.
     """
     t0 = time.perf_counter()
     workers = resolve_threads(threads)
     m, outcome = len(s), None
-    if pairs_total(m) < POW3[s.dim] - m:
-        hits = member_hits(s)
+    hits = member_hits(s)
+    missing = first_uncovered(s, hits)
+    if missing is not None or pairs_total(m) < POW3[s.dim] - m or s.dim > MAX_BITMAP_DIM:
         outcome = run_sweep(SweepTask(points=s, mode="cap", threads=threads, progress=progress), hits)
-        missing = first_uncovered(s, hits) if outcome.violation is None else None
-        del hits  # the member bitmap is not kept through a coverage sweep
-        if missing is not None:
-            cap_rep = _report("cap", True, None, outcome.pairs_examined, t0, workers)
-            witness = (unrank(missing, s.dim),)
-            return cap_rep, _report("complete_cap", False, witness, outcome.pairs_examined, t0, workers)
-    if outcome is None or outcome.violation is None:  # the set might be complete, or every candidate is covered
+    del hits  # the member bitmap is not kept through a coverage sweep
+    if missing is None and (outcome is None or outcome.violation is None):
         outcome = run_sweep(SweepTask(points=s, mode="coverage", threads=threads, progress=progress))
     if outcome.violation is not None:
+        i, j = np.searchsorted(s.ranks, outcome.violation[:2])
         witness = tuple(unrank(r, s.dim) for r in outcome.violation)
-        return _report("cap", False, witness, outcome.pairs_examined, t0, workers), None
+        return _report("cap", False, witness, pair_index(m, int(i), int(j)) + 1, t0, workers), None
     cap_rep = _report("cap", True, None, outcome.pairs_examined, t0, workers)
-    comp_rep = coverage_complete(s, outcome.coverage, outcome.pairs_examined, t0, workers)
-    return cap_rep, comp_rep
+    if missing is not None:
+        witness = (unrank(missing, s.dim),)
+        return cap_rep, _report("complete_cap", False, witness, outcome.pairs_examined, t0, workers)
+    return cap_rep, coverage_complete(s, outcome.coverage, outcome.pairs_examined, t0, workers)
 
 
 def is_complete_cap(s: PointSet, threads: int | None = None, progress: bool = False) -> VerifyReport:
@@ -425,9 +438,9 @@ def _check_dims(*sets: PointSet) -> int:
 
 def _hits_other(target: np.ndarray):
     """Tile mask of the pairs whose third point is in target, the partners, and is not the partner itself."""
-    def hits(tile, j0):
+    def hits(tile, cols):
         member, at = _in_sorted(target, tile)
-        return member & (at != np.arange(j0, j0 + tile.shape[0])[:, None])
+        return member & (at != cols[:, None])
     return hits
 
 
@@ -436,8 +449,8 @@ def check_condition1(p1: PointSet, p2: PointSet, p3: PointSet) -> VerifyReport:
     t0 = time.perf_counter()
     dim = _check_dims(p1, p2, p3)
     n2, n3 = len(p2), len(p3)
-    kernel = _Kernel(p2.ranks, dim, p1.ranks)
-    first = kernel.first_hit(0, len(p1), lambda tile, j0: _in_sorted(p3.ranks, tile)[0]) if n3 else None
+    kernel = _Kernel(p2.ranks, dim, p1.ranks, p3.ranks)
+    first = kernel.first_hit(0, len(p1), lambda tile, cols: _in_sorted(p3.ranks, tile)[0]) if n3 else None
     if first is None:
         return _report("condition1", True, None, len(p1) * n2 * n3, t0)
     ix, iy, third = first
@@ -451,7 +464,7 @@ def check_condition2(p1: PointSet, p3: PointSet) -> VerifyReport:
     t0 = time.perf_counter()
     dim = _check_dims(p1, p3)
     n3 = len(p3)
-    first = _Kernel(p3.ranks, dim, p1.ranks).first_hit(0, len(p1), _hits_other(p3.ranks))
+    first = _Kernel(p3.ranks, dim, p1.ranks, p3.ranks).first_hit(0, len(p1), _hits_other(p3.ranks))
     if first is None:
         return _report("condition2", True, None, len(p1) * pairs_total(n3), t0)
     # hits come in mirrored pairs, so the first has iy < iz
@@ -506,16 +519,16 @@ def is_projective_cap(a) -> VerifyReport:
     order = np.argsort(both)
     target = both[order]
     cls = np.tile(np.arange(m), 2)[order]  # the representative index of each point of D
-    kernel = _Kernel(target, members.dim, members.ranks)
+    kernel = _Kernel(target, members.dim, members.ranks, target)
     hits = _hits_other(target)  # p = -x has third 0, which is not in D
     first = kernel.first_hit(0, m, hits)
     if first is None:
         return _report("projective_cap", True, None, comb(m, 3), t0)
     i = first[0]
     found = []  # the (partner, third) indices into D of every hit of anchor i
-    for j0, tile in kernel._block_tiles(i, i + 1):
-        p = np.flatnonzero(hits(tile, j0))
-        found.append(np.stack([j0 + p, np.searchsorted(target, tile[p, 0])]))
+    for cols, tile in kernel._block_tiles(i, i + 1):
+        p = np.flatnonzero(hits(tile, cols))
+        found.append(np.stack([cols[p], np.searchsorted(target, tile[p, 0])]))
     pairs = np.sort(cls[np.concatenate(found, axis=1)], axis=0)
     j, k = (int(c) for c in pairs[:, np.argmin(pairs[0] * m + pairs[1])])
     count = comb(m, 3) - comb(m - i, 3) + pair_index(m - i - 1, j - i - 1, k - i - 1) + 1

@@ -373,28 +373,38 @@ def test_verify_complete_above_dimension_20(tmp_path, capsys, dim):
 
 # Runs the CLI with sys.argv[1:] under a patch that the forked sweep workers
 # inherit: a worker repeats its tiles without end, so it is still scanning
-# when the SIGINT arrives, however fast the kernel is.
+# when the SIGINT arrives, however fast the kernel is. The mode of each sweep
+# that verify starts goes to stderr as "sweep: MODE".
 ENDLESS_WORKERS = """
 import os
 import sys
+from capset import verifiers
 from capset.cli import main
 from capset.sweep import _Kernel
 
 parent = os.getpid()
 block_tiles = _Kernel._block_tiles
+run_sweep = verifiers.run_sweep
 
 def endless_block_tiles(self, *args, **kwargs):
     while os.getpid() != parent:
         yield from block_tiles(self, *args, **kwargs)
     yield from block_tiles(self, *args, **kwargs)
 
+def announced_sweep(task, *args):
+    print(f"sweep: {task.mode}", file=sys.stderr, flush=True)
+    return run_sweep(task, *args)
+
 _Kernel._block_tiles = endless_block_tiles
+verifiers.run_sweep = announced_sweep
 sys.exit(main(sys.argv[1:]))
 """
 
 
 def interrupt_verify(path):
-    """SIGINT to the whole group of a 2-worker verify once both workers scan; (exit code, stderr)."""
+    """SIGINT to the whole group of a 2-worker verify once both workers scan; (exit code, stderr).
+
+    stderr starts with the mode of the sweep that was interrupted."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-c", ENDLESS_WORKERS, "verify", str(path), "--cap", "--complete", "--threads", "2"],
@@ -427,30 +437,39 @@ def interrupt_verify(path):
 def test_ctrl_c_stops_forked_workers(tmp_path):
     # a real SIGINT to the whole process group while both workers scan a
     # dim-18 cap: only the parent reports it, and it leaves no process
-    # behind. Its 127,992,000 pairs are fewer than the 3^18 - 16,000 points
-    # outside, so the workers run the cap sweep before the witness search
+    # behind. The witness search finds an uncovered point of the 16,000
+    # points of B(18), so the workers run the cap sweep
     path = tmp_path / "b18.caps"
     ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 16_000, replace=False)
     write_capset(PointSet(18, ranks), path)
-    assert interrupt_verify(path) == (2, "error: interrupted\n")
+    assert interrupt_verify(path) == (2, "sweep: cap\nerror: interrupted\n")
+
+
+def ag15_in_last_coordinates(dim):
+    """The complete ag15 cap in the last 15 coordinates of dimension dim.
+
+    Every point of that subspace is a member or a third point, so the
+    witness search exhausts its budget and verify --complete runs the
+    coverage sweep."""
+    return PointSet(dim, capset.preset_ag15().ranks)
 
 
 def test_ctrl_c_stops_byte_coverage_workers(tmp_path):
-    # the same where the workers fill the byte coverage: 27,900 points of
-    # B(18) have at least 3^18 - 27,900 pairs, so the set might be complete
-    path = tmp_path / "b18.caps"
-    ranks = np.random.default_rng(18).choice(gen_B(18).ranks, 27_900, replace=False)
-    write_capset(PointSet(18, ranks), path)
-    assert interrupt_verify(path) == (2, "error: interrupted\n")
+    # the same where the workers fill the byte coverage at dimension 18
+    path = tmp_path / "ag15_dim18.caps"
+    write_capset(ag15_in_last_coordinates(18), path)
+    assert interrupt_verify(path) == (2, "sweep: coverage\nerror: interrupted\n")
 
 
 def test_ctrl_c_stops_window_workers(tmp_path):
     # the same at dimension 19, where two workers own the runs of coverage
-    # windows: 48,300 points of B(19) have at least 3^19 - 48,300 pairs
-    path = tmp_path / "b19.caps"
-    ranks = np.random.default_rng(19).choice(gen_B(19).ranks, 48_300, replace=False)
-    write_capset(PointSet(19, ranks), path)
-    assert interrupt_verify(path) == (2, "error: interrupted\n")
+    # windows. The ag15 cap alone sends every third point to window 0, which
+    # one worker would own; with its translate by the first unit vector the
+    # thirds fall in three windows, and ag15 still covers every candidate
+    path = tmp_path / "ag15_dim19.caps"
+    s = ag15_in_last_coordinates(19)
+    write_capset(PointSet(19, np.concatenate([s.ranks, s.ranks + 3**18])), path)
+    assert interrupt_verify(path) == (2, "sweep: coverage\nerror: interrupted\n")
 
 
 def test_usage_error_exits_2():

@@ -69,8 +69,8 @@ def coordinate_thirds(anchor, partners, dim):
     return ((-(anchor // place % 3 + partners[:, None] // place % 3)) % 3 * place).sum(axis=1)
 
 
-def expected_tile(kernel, b0, b1, j0, rows, dim):
-    return np.stack([coordinate_thirds(a, kernel.partners[j0 : j0 + rows], dim) for a in kernel.anchors[b0:b1]], axis=1)
+def expected_tile(kernel, b0, b1, cols, dim):
+    return np.stack([coordinate_thirds(a, kernel.partners[cols], dim) for a in kernel.anchors[b0:b1]], axis=1)
 
 
 @pytest.mark.parametrize("dim", range(1, 40))
@@ -100,35 +100,79 @@ def test_kernel_thirds_match_coordinate_arithmetic(dim, monkeypatch):
         for b0, b1, spans in calls:
             expect = spans if spans is not None else [(0, n)] if kernel.cross else [(b1, n)]
             seen = []
-            for j0, tile in kernel._block_tiles(b0, b1, spans):
-                assert tile.dtype == np.intp and tile.shape[1] == b1 - b0
-                assert np.array_equal(tile, expected_tile(kernel, b0, b1, j0, tile.shape[0], dim)), (b0, b1, j0)
-                seen.append((j0, j0 + tile.shape[0]))
+            for cols, tile in kernel._block_tiles(b0, b1, spans):
+                assert tile.dtype == np.intp and tile.shape == (cols.size, b1 - b0)
+                assert np.array_equal(tile, expected_tile(kernel, b0, b1, cols, dim)), (b0, b1, cols)
+                seen.append(cols.tolist())
             if not kernel.cross:  # the own triangle first
-                assert seen.pop(0) == (b0, b1)
-            assert [j for s, e in seen for j in range(s, e)] == [j for s, e in expect for j in range(s, e)]
+                assert seen.pop(0) == list(range(b0, b1))
+            assert [j for cols in seen for j in cols] == [j for s, e in expect for j in range(s, e)]
+
+
+def window_of(ranks, dim):
+    """The top digit group value of each rank: the window pruning tests."""
+    shift, _ = _digit_groups(dim)[0]
+    return np.asarray(ranks) // POW3[shift]
+
+
+@pytest.mark.parametrize("dim", [1, 9, 12, 15, 19, 21, 30, 39])
+def test_pruned_tiles_skip_only_empty_windows(dim, monkeypatch):
+    # with the gate open, a kernel given a target yields correct tiles in
+    # ascending partner order and leaves out only partners whose thirds with
+    # every anchor of the block fall in windows that hold no target rank;
+    # below dimension 9 there is one group and nothing is pruned
+    monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
+    monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
+    monkeypatch.setattr(capset.sweep, "_PRUNE_GAIN", 0)
+    partners, anchors = kernel_ranks(dim, 7 * dim), kernel_ranks(dim, 8 * dim)
+    rng = np.random.default_rng(dim)
+    pruned = 0
+    for cross in (True, False):
+        target = np.unique(rng.choice(partners, 6))
+        kernel = _Kernel(partners, dim, anchors if cross else None, target)
+        assert (kernel.live is not None) == (dim > 8)
+        m = kernel.anchors.size
+        for b0, b1 in kernel._blocks(0, m):
+            seen = []
+            for cols, tile in kernel._block_tiles(b0, b1):
+                assert np.array_equal(tile, expected_tile(kernel, b0, b1, cols, dim)), (b0, b1, cols)
+                seen += cols.tolist()
+            if not cross:
+                assert seen[: b1 - b0] == list(range(b0, b1))
+                seen = seen[b1 - b0 :]
+            every = range(0 if cross else b1, partners.size)
+            assert seen == sorted(seen) and set(seen) <= set(every)
+            for j in set(every) - set(seen):
+                thirds = coordinate_thirds(partners[j], kernel.anchors[b0:b1], dim)
+                assert not np.isin(window_of(thirds, dim), window_of(target, dim)).any()
+                pruned += 1
+    assert (pruned > 0) == (dim > 8)
 
 
 @pytest.mark.parametrize("dim", [5, 15, 21, 39])
-def test_kernel_hits_match_isin(dim):
+def test_kernel_hits_match_isin(dim, monkeypatch):
     # _Kernel.first_hit; with bits, the mask holds bit values, as the cap
-    # sweep's bitmap gather does
+    # sweep's bitmap gather does. With pruning the kernel is given the
+    # target, with the gate open, and leaves out the partners of empty windows
+    monkeypatch.setattr(capset.sweep, "_PRUNE_GAIN", 0)
     partners, anchors = kernel_ranks(dim, 2 * dim), kernel_ranks(dim, 3 * dim)
     rng = np.random.default_rng(dim)
-    for kernel, bits in itertools.product((_Kernel(partners, dim, anchors), _Kernel(partners, dim)), (False, True)):
-        m = kernel.anchors.size
-        last = m if kernel.cross else partners.size - 1
+    for pruning, cross, bits in itertools.product((False, True), (True, False), (False, True)):
+        m = anchors.size if cross else partners.size
+        last = m if cross else partners.size - 1
         for pick in (0, m // 2, last - 1, None):
             noise = rng.integers(0, POW3[dim], 5, dtype=np.int64)
             if pick is None:
                 target = noise
             else:
-                start = 0 if kernel.cross else pick + 1
-                thirds = coordinate_thirds(kernel.anchors[pick], partners[start:], dim)
+                start = 0 if cross else pick + 1
+                thirds = coordinate_thirds((anchors if cross else partners)[pick], partners[start:], dim)
                 target = np.concatenate([noise, rng.choice(thirds, 2)])
             target = np.unique(target)
+            kernel = _Kernel(partners, dim, anchors if cross else None, target if pruning else None)
+            assert (kernel.live is not None) == (pruning and dim > 8)
 
-            def hits(tile, j0):
+            def hits(tile, cols):
                 found = np.isin(tile, target)
                 return found.astype(np.uint8) << 4 if bits else found
 
@@ -147,24 +191,38 @@ def test_kernel_hits_match_isin(dim):
 @pytest.mark.parametrize("dim", [5, 15, 21, 39])
 def test_kernel_first_miss_matches_isin(dim, monkeypatch):
     # _Kernel.first_miss over several blocks of several tiles: the target
-    # holds every third point but those of one anchor, or all of them
+    # holds every third point but those of one anchor, or all of them. With
+    # pruning the kernel is given the target, with the gate open
     monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
     monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
+    monkeypatch.setattr(capset.sweep, "_PRUNE_GAIN", 0)
     partners, anchors = kernel_ranks(dim, 4 * dim), kernel_ranks(dim, 5 * dim)
-    kernel, m = _Kernel(partners, dim, anchors), anchors.size
+    m = anchors.size
     rows = [coordinate_thirds(a, partners, dim) for a in anchors]
-    for pick, bits in itertools.product((0, m // 2, m - 1, None), (False, True)):
+    for pruning, pick, bits in itertools.product((False, True), (0, m // 2, m - 1, None), (False, True)):
         target = np.unique(np.concatenate(rows))
         if pick is not None:
             target = np.setdiff1d(target, rows[pick])
+        kernel = _Kernel(partners, dim, anchors, target if pruning else None)
 
-        def hits(tile, j0):
+        def hits(tile, cols):
             found = np.isin(tile, target)
             return found.astype(np.uint8) << 4 if bits else found
 
         for a0, a1 in [(0, m), (0, 0), (m // 2, m), (1, m // 2), (m - 1, m)]:
             expect = next((i for i in range(a0, a1) if not np.isin(rows[i], target).any()), None)
             assert kernel.first_miss(a0, a1, hits) == expect, (pick, a0, a1)
+        if pruning and pick is not None:
+            # a target of only the ranks in the windows of the picked anchor's
+            # thirds: every other window is empty, so most partners are pruned
+            sparse = target[np.isin(window_of(target, dim), window_of(rows[pick], dim))]
+            kernel = _Kernel(partners, dim, anchors, sparse)
+
+            def sparse_hits(tile, cols):
+                return np.isin(tile, sparse)
+
+            expect = next(i for i in range(m) if not np.isin(rows[i], sparse).any())
+            assert kernel.first_miss(0, m, sparse_hits) == expect
 
 
 # --- anchor blocks against the per-anchor reference ----------------------------

@@ -30,6 +30,7 @@ from capset.errors import CapacityError, DimensionError, PreconditionError
 from capset.expr import evaluate
 from capset.f3core import (
     POW3,
+    _digit_groups,
     PointSet,
     neg_ranks,
     rank,
@@ -39,7 +40,7 @@ from capset.f3core import (
     unrank,
     zero_masks,
 )
-from capset.sweep import SweepTask, first_uncovered, member_hits, pairs_total, run_sweep
+from capset.sweep import SweepTask, _Kernel, first_uncovered, member_hits, pair_index, pairs_total, run_sweep
 from capset.verifiers import (
     check_condition1,
     check_condition2,
@@ -184,6 +185,50 @@ def test_cap_sweep_above_bitmap_dim_matches_brute_force():
                     assert (witness, out.pairs_examined) == expected, (dim, threads, chunk_pairs)
 
 
+def clustered_b(rng, dim, patterns, per):
+    """B(dim) points in a few top digit groups: patterns random values of
+    {1, 2} on the top group, each with per random {1, 2} values below it."""
+    shift, width = _digit_groups(dim)[0]
+    tops = rng.choice(gen_B(width).ranks, patterns, replace=False) * POW3[shift]
+    return np.unique([t + b for t in tops for b in rng.choice(gen_B(shift).ranks, per, replace=False)])
+
+
+def pruned_cap_shapes():
+    """Sets on which the cap sweep prunes: B(n) subsets in a few top groups,
+    as caps and with a planted line, and ag6-112 in the last 6 coordinates
+    of dimensions 10-12, whose windows are all live, with and without a line."""
+    rng = np.random.default_rng(21)
+    for dim, patterns, per in ((9, 5, 12), (12, 6, 15), (15, 4, 25), (21, 4, 30)):
+        ranks = clustered_b(rng, dim, patterns, per)
+        yield PointSet(dim, ranks)
+        p, q = (unrank(int(r), dim) for r in rng.choice(ranks, 2, replace=False))
+        yield PointSet(dim, np.union1d(ranks, [rank(third_point(p, q))]))
+    for dim in (10, 11, 12):
+        yield PointSet(dim, C112.ranks)
+    yield PointSet(11, np.union1d(C112.ranks, [0, 2 * POW3[7], POW3[7]]))  # a line off the subspace
+
+
+def test_pruned_cap_sweep_matches_naive_scan(monkeypatch):
+    # the cap sweep, pruning by window, against the triple-scan oracle at
+    # threads 1/2/3 and three chunk sizes
+    failing = 0
+    for s in pruned_cap_shapes():
+        assert _Kernel(s.ranks, s.dim, target=s.ranks).live is not None, (s.dim, len(s))
+        hit, _ = verifiers._naive_cap_scan(s.coords())
+        expected = (None, pairs_total(len(s)))
+        if hit is not None:
+            failing += 1
+            i, j, _ = hit
+            expected = (tuple(s.point(x) for x in hit), pair_index(len(s), i, j) + 1)
+        for threads, chunk_pairs in itertools.product((1, 2, 3), (7, 500, 10**7)):
+            monkeypatch.setattr(verifiers, "SweepTask", functools.partial(SweepTask, chunk_pairs=chunk_pairs))
+            rep = is_cap(s, threads=threads)
+            assert (rep.witness, rep.pairs_examined) == expected, (s.dim, len(s), threads, chunk_pairs)
+            cap_rep, _ = verify_cap_and_complete(s, threads=threads)
+            assert (cap_rep.witness, cap_rep.pairs_examined) == expected
+    assert failing == 5
+
+
 class OracleCalled(Exception):
     pass
 
@@ -251,17 +296,23 @@ def test_complete_cap_requires_cap():
 
 
 def test_combined_equals_separate():
+    # the cap report of verify --cap --complete is is_cap's, count included,
+    # on sets below the bound (the witness search) and above it (coverage
+    # too, when every candidate is covered)
     rng = random.Random(0x5E9A)
-    for _ in range(10):
-        s = random_set(rng, 4, rng.randint(4, 50))
+    seen = collections.Counter()
+    for _ in range(40):
+        s = random_set(rng, 4, rng.choice([rng.randint(2, 12), rng.randint(13, 50)]))
         cap_rep, comp_rep = verify_cap_and_complete(s)
         solo_cap = is_cap(s, mode="fast")
-        assert cap_rep.passed == solo_cap.passed
-        assert cap_rep.witness == solo_cap.witness
+        assert (cap_rep.passed, cap_rep.witness) == (solo_cap.passed, solo_cap.witness)
+        assert cap_rep.pairs_examined == solo_cap.pairs_examined
         if cap_rep.passed:
             assert comp_rep is not None
         else:
             assert comp_rep is None
+        seen[fewer_pairs_than_outside(len(s), 4), cap_rep.passed] += 1
+    assert len(seen) == 4, seen  # caps and non-caps on both sides of the bound
 
 
 def fewer_pairs_than_outside(m, dim):
@@ -308,22 +359,58 @@ def sweep_modes(monkeypatch):
     return modes
 
 
+def unbounded_sets(seed):
+    """Seeded sets of dimensions 1-8 with at least as many pairs as outside points.
+
+    Per dimension: random ranks, a B(n) subset (a cap), the same closed
+    under negation with a planted line through two of its members, all of
+    B(n), and at dimension 6 ag6-112 (a complete cap) and ag6-112 without
+    its least member, which is then uncovered; sizes capped at 300.
+    """
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 9):
+        low = min(m for m in range(POW3[dim] + 1) if not fewer_pairs_than_outside(m, dim))
+        b = gen_B(dim).ranks
+        picked = [rng.choice(POW3[dim], int(rng.integers(low, min(POW3[dim], 300) + 1)), replace=False), b]
+        if b.size >= low:
+            half = rng.choice(b, int(rng.integers(low, min(b.size, 300) + 1)), replace=False)
+            closed = np.union1d(half, neg_ranks(half, dim))
+            p, q = (unrank(int(r), dim) for r in rng.choice(closed, 2, replace=False))
+            picked += [half, np.union1d(closed, [rank(third_point(p, q))])]
+        if dim == 6:
+            picked += [C112.ranks, C112.ranks[1:]]
+        for ranks in picked:
+            s = PointSet(dim, np.unique(ranks))
+            if not fewer_pairs_than_outside(len(s), dim):
+                yield s
+
+
 @pytest.mark.parametrize("chunk_pairs", [7, 500, 10**7])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_witness_first_matches_coverage_path(threads, chunk_pairs, monkeypatch, sweep_modes):
-    # a set with fewer pairs than outside points takes the cap sweep and the
-    # witness search; the coverage sweep, called directly, is the reference
+    # every set takes the witness search first: when it finds a witness only
+    # the cap sweep runs. Otherwise a set above the bound runs only the
+    # coverage sweep, and one below it, which cannot be complete, the cap
+    # sweep first and the coverage sweep only on a cap. The coverage sweep,
+    # called directly, is the reference, on sets below the bound and above it
     monkeypatch.setattr(verifiers, "SweepTask", functools.partial(SweepTask, chunk_pairs=chunk_pairs))
-    searched = failing = 0
-    for s in bounded_sets(2000 + 10 * threads + len(str(chunk_pairs))):
+    seen = collections.Counter()
+    seed = 2000 + 10 * threads + len(str(chunk_pairs))
+    for s in itertools.chain(bounded_sets(seed), unbounded_sets(seed)):
+        bounded = fewer_pairs_than_outside(len(s), s.dim)
         sweep_modes.clear()
         cap_rep, comp_rep = verify_cap_and_complete(s, threads=threads)
-        assert sweep_modes[0] == "cap"
-        searched += "coverage" not in sweep_modes
+        missing = first_uncovered(s, member_hits(s))
         ref = run_sweep(SweepTask(s, "coverage", chunk_pairs=chunk_pairs, threads=threads))
+        if missing is not None:
+            assert sweep_modes == ["cap"]
+        elif bounded:
+            assert sweep_modes == (["cap"] if ref.violation is not None else ["cap", "coverage"])
+        else:
+            assert sweep_modes == ["coverage"]
         assert cap_rep.passed == (ref.violation is None)
+        seen[bounded, sweep_modes[0], cap_rep.passed] += 1
         if ref.violation is not None:
-            failing += 1
             assert cap_rep.witness == tuple(unrank(r, s.dim) for r in ref.violation)
             solo = is_cap(s, threads=threads)
             assert (cap_rep.witness, cap_rep.pairs_examined) == (solo.witness, solo.pairs_examined)
@@ -331,15 +418,21 @@ def test_witness_first_matches_coverage_path(threads, chunk_pairs, monkeypatch, 
             continue
         assert cap_rep.pairs_examined == comp_rep.pairs_examined == pairs_total(len(s))
         ref_comp = coverage_complete(s, ref.coverage)
-        assert not ref_comp.passed
-        assert (comp_rep.passed, comp_rep.witness) == (False, ref_comp.witness)
-    assert searched > 30 and failing > 15
+        assert not (bounded and ref_comp.passed)
+        assert (comp_rep.passed, comp_rep.witness) == (ref_comp.passed, ref_comp.witness)
+        if missing is not None:
+            assert comp_rep.witness == (unrank(missing, s.dim),)
+    assert seen[True, "cap", True] > 10 and seen[True, "cap", False] > 15
+    assert seen[False, "cap", True] and seen[False, "cap", False]
+    assert seen[False, "coverage", True] and seen[False, "coverage", False]
 
 
 def test_witness_search_budget_falls_back_to_coverage(sweep_modes, capsys, tmp_path):
     # the complete 112-point cap in the last 6 coordinates of dimension 10:
     # its 6,216 pairs are fewer than 3^10 - 112, yet every rank below 3^6 is
-    # a member or covered, so the search exhausts its budget of 56 candidates
+    # a member or covered, so the search exhausts its budget of 56 candidates.
+    # The set cannot be complete, so the cap sweep runs first, then, on a
+    # cap, the coverage sweep for the witness
     s = PointSet(10, C112.ranks)
     assert fewer_pairs_than_outside(len(s), 10) and POW3[6] > len(s) + 56
     assert first_uncovered(s, member_hits(s)) is None
@@ -357,6 +450,26 @@ def test_witness_search_budget_falls_back_to_coverage(sweep_modes, capsys, tmp_p
     capsys.readouterr()
     assert cli_main(["verify", str(path), "--complete", "--threads", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: dimension 21 exceeds bitmap capacity")
+
+
+@pytest.mark.parametrize("dim", [10, 21])
+def test_exhausted_search_on_a_non_cap_ends_at_the_cap_sweep(dim, sweep_modes, capsys, tmp_path):
+    # C112 plus the third point of two of its members, in the last 6
+    # coordinates: the search exhausts its budget, and the early-exit cap
+    # sweep gives the violation, with is_cap's count, and no coverage runs,
+    # so dimension 21 gets its verdict too
+    s = PointSet(dim, np.union1d(C112.ranks, [rank(third_point(C112.point(0), C112.point(1)))]))
+    assert len(s) == 113 and fewer_pairs_than_outside(len(s), dim)
+    assert first_uncovered(s, member_hits(s)) is None
+    cap_rep, comp_rep = verify_cap_and_complete(s, threads=2)
+    assert sweep_modes == ["cap"] and comp_rep is None
+    solo = is_cap(s, threads=1)
+    assert not solo.passed
+    assert (cap_rep.passed, cap_rep.witness, cap_rep.pairs_examined) == (False, solo.witness, solo.pairs_examined)
+    path = tmp_path / f"c113_dim{dim}.caps"
+    write_capset(s, path)
+    capsys.readouterr()
+    assert cli_main(["verify", str(path), "--cap", "--complete", "--threads", "1"]) == 1
 
 
 # --- P-set checks --------------------------------------------------------------
