@@ -8,9 +8,9 @@ cap mode runs at every dimension whose ranks fit int64 (up to 39). In
 coverage mode it only marks the point in a coverage bitmap (completeness),
 which needs all 3^dim bits and so stops at MAX_BITMAP_DIM: a byte per point
 up to dimension 18, packed bits above it, where SpaceBitmap.set_ranks
-scatters each tile of thirds with one buffered OR and sets again the bits
-lost to thirds that share a byte. A third point is
-never either point of its pair, so a set is a cap iff its coverage marks none
+scatters each quarter tile of thirds with one buffered OR and sets again
+the bits lost to thirds that share a byte. A third point is never either
+point of its pair, so a set is a cap iff its coverage marks none
 of its own ranks: coverage mode checks that once, after the scan, and only
 when it fails runs the early-exit cap sweep to find the canonical violation.
 
@@ -34,17 +34,17 @@ membership gather stay in cache. The verifiers' cross-set checks run on the
 same tiles, with the anchors from a second set and no own triangle.
 
 A search for a pair whose third point is in a set (the cap sweep, the
-witness search, the cross-set checks) prunes by window: here the window
-of a rank is its top digit group value (not the coverage windows below),
-and the thirds of a block with the partners of one top group value all
-lie in one window. Where that window
+witness search, the cross-set checks) prunes by window: the window of a
+rank is its top digit group value, and the thirds of a block with the
+partners of one top group value all lie in one window. Where that window
 holds no rank of the set, those partners are left out of the block's
 tiles, and the live ones are packed into full tiles that carry their
-partner indices. A pruned pair is decided by its empty window and counts
-as examined, in progress, in pairs_examined and in the order that makes
-the first hit canonical. A kernel prunes only where the share of empty
-windows times its anchors per block is large enough to pay (_PRUNE_GAIN).
-Coverage sweeps never prune: every third point is marked.
+partner indices; the block's own triangle, whose thirds lie in the window
+of its top value with itself, is left out in the same way. A pruned pair
+is decided by its empty window and counts as examined, in progress, in
+pairs_examined and in the order that makes the first hit canonical. A
+kernel prunes only where the share of empty windows times its anchors per
+block is large enough to pay (_PRUNE_GAIN).
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices; the chunk list does not depend on the worker count, all
@@ -52,18 +52,16 @@ chunk scans store the byte 1 at their third points in one shared 3^dim-byte
 scratch (every store writes the same value, so none is lost), and the
 reported violation is the minimum in canonical pair order, so outcomes are
 bit-identical for any number of workers. Coverage above dimension 18 is cut
-by the third points instead: a window is the 3^15 ranks (1.8 MB of bits)
-that share their top t = dim - 15 digits. A block's anchors share the top
-group and so their top t digits a, and the pairs with the partners of top t
-digits b all send their third points to one window, the negated digit sum of
-a and b. The parent counts the pairs of every window exactly from the member
-counts of the classes of top t digits and gives the windows to at most one
-worker per thread in units of 8 consecutive windows, balanced by those
-counts: 3^15 is odd, so the units are whole bytes of one shared packed
-bitmap, the workers write disjoint bytes and nothing is merged. Each worker
-takes every block's partners class by class, scanning those whose window is
-in its share, so a tile stays in one window (adjacent classes of a share
-take one tile while they are small).
+by the windows of the third points instead, the same top-group windows:
+3^12 ranks at dimension 19 and 3^13 at 20. The parent counts the pairs of
+every window exactly from the kernel's class starts (a class is the members
+of one top group value) and gives the windows to at most one worker per
+thread in units of 8 consecutive windows, balanced by those counts: a
+window's rank count is odd, so the units are whole bytes of one shared
+packed bitmap, the workers write disjoint bytes and nothing is merged. Each
+worker scans every chunk on a kernel whose live windows are its share, so
+the code that leaves out the partners of empty windows also leaves out the
+pairs whose thirds another worker marks.
 
 Workers are forked (POSIX fork), so they inherit the imported modules, the
 ranks and the cap-mode member bitmap, which the parent builds once: nothing
@@ -110,16 +108,13 @@ DEFAULT_CHUNK_PAIRS = 10_000_000
 # worker count) is used up to here; beyond, coverage is packed bits by window.
 _SCRATCH_DIM_LIMIT = 18
 
-# Above dimension 18 coverage is cut into windows of 3^15 consecutive ranks
-# (1.8 MB of packed bits): the window of a rank is its top dim - 15 digits.
-_WINDOW_DIGITS = 15
-
 # Least seconds between two progress lines on stderr.
 PROGRESS_INTERVAL = 1.0
 
 # Most anchors in one block of the pair kernel, and most items in one of its
 # tiles: 512 KB of intp, so a tile and its temporaries stay in a 2 MB L2
-# (2^16 ran faster than 2^18 on the ag15 subset).
+# (2^16 ran faster than 2^18 on the ag15 subset). A block's own K x K tile
+# fits one tile.
 _BLOCK_ANCHORS = 256
 _TILE_ITEMS = 1 << 16
 
@@ -234,21 +229,24 @@ class _Kernel:
     of whole rows gives a partner's thirds with all K anchors, which differ
     only in the lower groups and so fall in one small slab of the space.
 
-    A kernel given target, the sorted ranks its hit mask tests, prunes by
-    window. The window of a rank is its top group value (8 digits at
-    dimension 15, 7 at 19): the thirds of a block's anchors (class a) with
-    the partners of class b all lie in the window of the negated digit sum
-    of a and b, so a pair can hit only if that window holds a target rank.
-    _block_tiles leaves out the partners of every empty window and packs the
-    live ones into full tiles, each tile carrying the indices of its
-    partners. A pruned pair is decided by its empty window: it counts as
-    examined in progress, pairs_examined and the choice of the first hit,
-    exactly as a scanned pair without a hit. See _PRUNE_GAIN for when
-    pruning pays.
+    A kernel with live windows scans only the pairs whose thirds fall in
+    them. The window of a rank is its top group value (8 digits at dimension
+    15, 7 at 19 and 20), and a class is the partners of one window:
+    class_starts. The thirds of a block's anchors (class a) with the
+    partners of class b all lie in the window of the negated digit sum of a
+    and b. _block_tiles leaves out the partners of every window that is not
+    live, and the block's own tile when the window of a with itself is not,
+    and packs the live partners into full tiles, each tile carrying the
+    indices of its partners. A kernel given target, the sorted ranks its
+    hit mask tests, takes the windows that hold a target rank as live where
+    pruning pays (_PRUNE_GAIN): a pair of an empty window cannot hit, so it
+    counts as examined in progress, pairs_examined and the choice of the
+    first hit, exactly as a scanned pair without a hit. A coverage worker
+    above dimension 18 gives its share of the windows as live.
     """
 
     def __init__(self, partners: np.ndarray, dim: int, anchors: np.ndarray | None = None,
-                 target: np.ndarray | None = None):
+                 target: np.ndarray | None = None, live: np.ndarray | None = None):
         self.partners = np.asarray(partners, dtype=np.int64)
         self.cross = anchors is not None  # the anchors are a second array, with no own triangle
         self.anchors = np.asarray(anchors, dtype=np.int64) if self.cross else self.partners
@@ -265,17 +263,41 @@ class _Kernel:
             self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table))
             self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
         self._tiles = None  # the block buffers, made by the first block
-        self.live = None  # windows that hold a target rank, when the kernel prunes
         if target is not None and len(split) > 1:
             place, windows = self.groups[0][:2]
             live = np.zeros(windows, bool)
             live[np.asarray(target, dtype=np.int64) // place] = True
             classes = np.count_nonzero(np.diff(self.anchors // place)) + 1
-            if (1 - live.mean()) * self.anchors.size / classes >= _PRUNE_GAIN:
-                self.live = live
-                starts = np.searchsorted(self.partners, np.arange(windows + 1) * place)
-                self._classes = np.flatnonzero(np.diff(starts))  # the top values that have partners
-                self._class_spans = starts[self._classes], starts[self._classes + 1]
+            if (1 - live.mean()) * self.anchors.size / classes < _PRUNE_GAIN:
+                live = None
+        self.live = live  # the windows scanned, when the kernel prunes
+        if live is not None:
+            starts = self.class_starts()
+            self._classes = np.flatnonzero(np.diff(starts))  # the top values that have partners
+            self._class_spans = starts[self._classes], starts[self._classes + 1]
+
+    def class_starts(self) -> np.ndarray:
+        """Where each class begins: partners[starts[c] : starts[c + 1]] have top group value c."""
+        place, windows = self.groups[0][:2]
+        return np.searchsorted(self.partners, np.arange(windows + 1) * place)
+
+    def window_pairs(self) -> np.ndarray:
+        """The exact number of the sweep's pairs whose third point lies in each window.
+
+        The ordered pairs (x, y) of classes a and b, x = y included, fall in
+        window w exactly when b is the window of a and w. A class is a high
+        and a low half (S[high, low] its size), and the window of two classes
+        is the pair of the windows of their halves (the tables H and L), so
+        window (u, v) holds sum over h, b of S[H[h, u], b] * S[h, L[b, v]].
+        A member with itself falls in its own window, and each unordered pair
+        is two ordered ones. For a kernel whose anchors are its partners.
+        """
+        place, _, low_size, high_table, low_table = self.groups[0]
+        sizes = np.diff(self.class_starts())
+        S = sizes.reshape(-1, low_size)
+        h = np.flatnonzero(S.any(axis=1))  # the high halves that hold members; the others add nothing
+        ordered = np.einsum("hub,hbv->uv", S[high_table[h] // (place * low_size)], S[h][:, low_table // place])
+        return (ordered.ravel() - sizes) // 2
 
     def _blocks(self, a0: int, a1: int, progress_cb=None):
         """Yield the anchor blocks (b0, b1) of the anchors [a0, a1) that have a partner.
@@ -309,7 +331,7 @@ class _Kernel:
         """Yield the ascending indices of the partners in [s, e) whose class is live, at most step at a time.
 
         live[c] tells whether the block's thirds with the c-th class of
-        partners (self._classes) fall in a window that holds a target rank.
+        partners (self._classes) fall in a live window.
         Each slice is built when it is asked for, so a search that leaves a
         block early pays only for the tiles it took.
         """
@@ -328,24 +350,21 @@ class _Kernel:
             counts = np.minimum(packed_end[runs], t1) - np.maximum(packed_end[runs] - sizes[runs], t0)
             yield np.arange(t0, t1, dtype=np.intp) + np.repeat(shift[runs], counts)
 
-    def _block_tiles(self, b0: int, b1: int, spans=None, own: bool = True):
+    def _block_tiles(self, b0: int, b1: int):
         """Yield (cols, tile) for the pairs of the anchors in [b0, b1) with their partners.
 
         tile[p, k] is the rank of the third point of anchors[b0 + k] and
         partners[cols[p]], as intp, and cols is ascending. When the anchors
-        are the partners, the first tile, unless own is false, is the block
-        against itself (cols = [b0, b1), K x K), whose pairs are its
-        strictly lower triangle p > k; only it has cols[0] == b0. The others
-        take each partner range [s, e) of spans in ascending slices of at
-        most _TILE_ITEMS // K rows: by default all partners after the
-        block, [b1, n), or all of [0, n) when the anchors are a second
-        array. A pruning kernel leaves out of all but the own tile the
-        partners of empty windows, and a range with no live partner yields
-        no tile.
+        are the partners, the first tile is the block against itself (cols =
+        [b0, b1), K x K), whose pairs are its strictly lower triangle p > k;
+        only it has cols[0] == b0. The others take the partners after the
+        block, [b1, n), or all of [0, n) when the anchors are a second array,
+        in ascending slices of at most _TILE_ITEMS // K rows. A kernel with
+        live windows leaves out the partners of the windows that are not
+        live, and the own tile when its window is not.
         """
         n, size = self.partners.size, b1 - b0
-        own = own and not self.cross
-        spans = ([(0, n)] if self.cross else [(b1, n)]) if spans is None else spans
+        own = not self.cross
         shared = len(self.groups) > 1  # the top group, with one value in the block
         if self._tiles is None:
             self._tiles = [np.empty(_TILE_ITEMS, t) for t in (np.intp, self.dtype, self.dtype)]
@@ -354,11 +373,13 @@ class _Kernel:
         anchors = self.anchors[b0:b1]
         live = None
         if shared:
-            place, _, low_size, high_table, low_table = self.groups[0]
+            place = self.groups[0][0]
             value = int(anchors[0]) // place
+            _, _, low_size, high_table, low_table = self.groups[0]
             row = (high_table[value // low_size, :, None] + low_table[value % low_size]).ravel()
             if self.live is not None:
                 live = self.live[row[self._classes] // place]
+                own = own and self.live[row[value] // place]
         stacks = []  # the (3^width, K) row table of each lower group
         for (place, rows, low_size, high_table, low_table), buf in zip(self.groups[shared:], self._stacks):
             value = anchors // place % rows
@@ -381,18 +402,22 @@ class _Kernel:
                 np.add(total, self._top[rows, None], out=out)
             return out
 
-        step = max(1, _TILE_ITEMS // size)  # at least K: the own tile is one tile
-        for i, (s, e) in enumerate([(b0, b1), *spans] if own else spans):
-            if live is None or (own and i == 0):
-                if shared:
-                    np.take(row, self.digits[0][s:e], out=self._top[s:e])
-                for j0 in range(s, e, step):
-                    j1 = min(j0 + step, e)
-                    yield self.index[j0:j1], tile(slice(j0, j1), j1 - j0)
-                continue
-            for cols in self._live_tiles(live, s, e, step):
-                self._top[cols] = np.take(row, self.digits[0][cols])
-                yield cols, tile(cols, cols.size)
+        step = max(1, _TILE_ITEMS // size)
+        s = 0 if self.cross else b1
+        if own:
+            if shared:
+                np.take(row, self.digits[0][b0:b1], out=self._top[b0:b1])
+            yield self.index[b0:b1], tile(slice(b0, b1), size)
+        if live is None:
+            if shared:
+                np.take(row, self.digits[0][s:], out=self._top[s:])
+            for j0 in range(s, n, step):
+                j1 = min(j0 + step, n)
+                yield self.index[j0:j1], tile(slice(j0, j1), j1 - j0)
+            return
+        for cols in self._live_tiles(live, s, n, step):
+            self._top[cols] = np.take(row, self.digits[0][cols])
+            yield cols, tile(cols, cols.size)
 
     def first_hit(self, a0: int, a1: int, hits, progress_cb=None) -> tuple[int, int, int] | None:
         """(anchor, partner, third rank) of the first pair of the anchors [a0, a1) that hits, or None.
@@ -478,24 +503,42 @@ def first_uncovered(ps: PointSet, hits) -> int | None:
     return None if miss is None else int(candidates[miss])
 
 
-def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, hits=None, stop=None):
+def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, hits=None, stop=None, live=None):
     """Scan the listed chunks in ascending order, block by block.
 
-    Given the byte scratch marks of 3^dim bytes (up to dimension 18;
-    _scan_windows covers above it), store 1 at the third point of every pair
-    and return None. Otherwise return (i, j, third rank) of the first pair
-    whose third point is a member by the mask hits of member_hits, or None
-    (the kernel prunes by the windows of the members);
-    it stops early at a chunk beyond one where another worker already found
-    a violation. _Kernel.first_hit finds the first pair of a chunk.
+    Given the coverage cover, mark the third point of every pair whose
+    window is in live (every window when live is None): store the byte 1 in
+    the 3^dim-byte scratch up to dimension 18, or OR its bit into the packed
+    bitmap above it. Count the marks for progress_cb in sums of at least
+    2^23 and at the end of each chunk, and return None. Otherwise return
+    (i, j, third rank) of the first pair whose third point is a member by
+    the mask hits of member_hits, or None (the kernel prunes by the windows
+    of the members); it stops early at a chunk beyond one where another
+    worker already found a violation. _Kernel.first_hit finds the first
+    pair of a chunk.
     """
-    kernel = _Kernel(ranks, dim, target=ranks if marks is None else None)
-    if marks is not None:
+    if cover is not None:
+        kernel = _Kernel(ranks, dim, live=live)
         for idx in indices:
-            for b0, b1 in kernel._blocks(*chunks[idx], progress_cb):
+            done = 0
+            for b0, b1 in kernel._blocks(*chunks[idx]):
                 for cols, tile in kernel._block_tiles(b0, b1):
-                    marks[tile[_below(tile.shape[1])] if cols[0] == b0 else tile] = 1
+                    thirds = (tile[_below(tile.shape[1])] if cols[0] == b0 else tile).ravel()
+                    if isinstance(cover, SpaceBitmap):
+                        # a quarter tile per OR, whose second gather then finds its bytes in
+                        # L2: whole tiles took about 30% longer per third (2 MB L2 per core)
+                        for lo in range(0, thirds.size, _TILE_ITEMS // 4):
+                            cover.set_ranks(thirds[lo : lo + _TILE_ITEMS // 4])
+                    else:
+                        cover[thirds] = 1
+                    done += thirds.size
+                if done >= 1 << 23:
+                    progress_cb(done)
+                    done = 0
+            if done:
+                progress_cb(done)
         return None
+    kernel = _Kernel(ranks, dim, target=ranks)
     for idx in indices:
         if stop is not None and stop.value < idx:
             break
@@ -508,32 +551,15 @@ def _scan(ranks, dim, chunks, indices, progress_cb, marks=None, hits=None, stop=
     return None
 
 
-def _windows(ranks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class starts and exact pair counts of the coverage windows above dimension 18.
-
-    Window c holds the 3^15 ranks whose top t = dim - 15 digits read c, and
-    class b the members whose top t digits read b: members[starts[b] :
-    starts[b + 1]]. The third point of a pair from classes a and b lies in
-    window _negadd_table(t, 0)[a, b].
-    """
-    t = dim - _WINDOW_DIGITS
-    starts = np.searchsorted(ranks, np.arange(POW3[t] + 1) * POW3[_WINDOW_DIGITS])
-    sizes = np.diff(starts)
-    pairs = np.triu(np.outer(sizes, sizes), 1)
-    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
-    counts = np.zeros(POW3[t], np.int64)
-    np.add.at(counts, _negadd_table(t, 0), pairs)
-    return starts, counts
-
-
 def _window_shares(counts: np.ndarray, threads: int) -> list[np.ndarray]:
     """Give the windows to at most threads workers, balanced by their pairs.
 
-    The windows go in units of 8 consecutive windows: 3^15 is odd, so a unit
-    starts on a byte of the bitmap, and no two workers write one byte. Each
-    unit, largest first, goes whole to the worker with the fewest pairs so
-    far. Returns each worker's boolean mask over the windows; a worker left
-    without pairs is dropped.
+    The windows go in units of 8 consecutive windows: a window holds an odd
+    number of ranks (3^12 or 3^13), so a unit starts on a byte of the
+    bitmap, and no two workers write one byte. Each unit, largest first,
+    goes whole to the worker with the fewest pairs so far. Returns each
+    worker's boolean mask over the windows; a worker left without pairs is
+    dropped.
     """
     units = np.add.reduceat(counts, np.arange(0, counts.size, 8))
     loads = [0] * threads
@@ -543,47 +569,6 @@ def _window_shares(counts: np.ndarray, threads: int) -> list[np.ndarray]:
         loads[w] += int(units[u])
         shares[w, 8 * u : 8 * u + 8] = True
     return [share for share, load in zip(shares, loads) if load]
-
-
-def _scan_windows(ranks, dim, starts, share, progress_cb, cover) -> None:
-    """Mark in cover the third point of every pair whose window is in share.
-
-    The anchors go in the blocks of _Kernel._blocks, whose anchors share the
-    top digit group (width 7 at dimensions 19-20) and so their class a. A
-    block meets itself when the window of (a, a) is in the share, and then
-    the partners of each later class b whose window with a is: one partner
-    range per class, so a tile stays inside one window. Adjacent classes
-    share a range while it is shorter than a quarter tile, or a sparse set
-    would spend its time on tiny tiles; their windows are all in the share.
-    The pairs of the tiles scanned go to progress_cb in sums of at least 2^23.
-    """
-    kernel = _Kernel(ranks, dim)
-    table = _negadd_table(dim - _WINDOW_DIGITS, 0)
-    mine = share[table]  # mine[a, b]: the pairs of classes a and b are this worker's
-    later = mine & (np.diff(starts) > 0)  # skip empty classes
-    starts = starts.tolist()
-    done = 0
-    for b0, b1 in kernel._blocks(0, ranks.size - 1):
-        a = int(ranks[b0] // POW3[_WINDOW_DIGITS])
-        least = _TILE_ITEMS // 4 // (b1 - b0)
-        spans = []
-        for b in (np.flatnonzero(later[a, a:]) + a).tolist():
-            s, e = max(b1, starts[b]), starts[b + 1]
-            if spans and spans[-1][1] == s and s - spans[-1][0] < least:
-                spans[-1] = (spans[-1][0], e)
-            elif s < e:
-                spans.append((s, e))
-        if not (spans or mine[a, a]):
-            continue
-        for cols, tile in kernel._block_tiles(b0, b1, spans, own=mine[a, a]):
-            thirds = tile[_below(tile.shape[1])] if cols[0] == b0 else tile
-            cover.set_ranks(thirds)
-            done += thirds.size
-        if done >= 1 << 23:
-            progress_cb(done)
-            done = 0
-    if done:
-        progress_cb(done)
 
 
 def _below(size: int) -> np.ndarray:
@@ -666,11 +651,8 @@ def run_sweep(task: SweepTask, hits=None) -> SweepOutcome:
 
     threads = resolve_threads(task.threads)
     progress = _Progress(total, task.progress)
-    if coverage and ps.dim > _SCRATCH_DIM_LIMIT:
-        first, cov = None, _cover_windows(ps, threads, progress)
-    else:
-        hits = None if coverage else (hits or member_hits(ps))
-        first, cov = _sweep_chunks(ps, hits, task.chunk_pairs, threads, progress)
+    hits = None if coverage else (hits or member_hits(ps))
+    first, cov = _sweep_chunks(ps, hits, task.chunk_pairs, threads, progress)
 
     if coverage:
         progress.finish(total)
@@ -692,23 +674,38 @@ def run_sweep(task: SweepTask, hits=None) -> SweepOutcome:
 def _sweep_chunks(ps, hits, chunk_pairs, threads, progress):
     """(first violation, coverage) of a sweep of fixed chunks, shared out among at most threads scans.
 
-    A cap sweep tests membership with the mask hits; without one it is a coverage sweep.
+    A cap sweep tests membership with the mask hits; without one it is a
+    coverage sweep. Its scans take parts of the chunk list and share one byte
+    scratch up to dimension 18; above it, each scans every chunk for one
+    share of the windows and ORs into one packed bitmap.
     """
     coverage = hits is None
+    packed = coverage and ps.dim > _SCRATCH_DIM_LIMIT
     chunks = make_chunks(len(ps), chunk_pairs)
-    parts = [part.tolist() for part in np.array_split(np.arange(len(chunks)), min(threads, len(chunks)))]
-    stop = mp.get_context("fork").Value("q", len(chunks))
-    fd = os.memfd_create("capset-coverage") if coverage else -1
+    if packed:
+        shares = _window_shares(_Kernel(ps.ranks, ps.dim).window_pairs(), threads)
+        # a share of every window is scanned whole, with no windows to leave out
+        payloads = [(range(len(chunks)), None if share.all() else share) for share in shares]
+    else:
+        parts = np.array_split(np.arange(len(chunks)), min(threads, len(chunks)))
+        payloads = [(part.tolist(), None) for part in parts]
+    stop = None if coverage else mp.get_context("fork").Value("q", len(chunks))
+    fd = os.memfd_create("capset-coverage") if coverage and not packed else -1
     try:
-        marks = _shared_zeros(POW3[ps.dim], fd) if coverage else None
+        if packed:
+            # the shares write disjoint bytes of one bitmap; only forked workers need it shared
+            cover = SpaceBitmap(ps.dim, _shared_zeros((POW3[ps.dim] + 7) // 8) if len(payloads) > 1 else None)
+        else:
+            cover = _shared_zeros(POW3[ps.dim], fd) if coverage else None
 
-        def scan(part, progress_cb):
-            return _scan(ps.ranks, ps.dim, chunks, part, progress_cb, marks, hits, stop)
+        def scan(payload, progress_cb):
+            indices, live = payload
+            return _scan(ps.ranks, ps.dim, chunks, indices, progress_cb, cover, hits, stop, live)
 
-        first = _run_workers(scan, parts, progress)
-        return first, _pack(marks, fd, ps.dim) if coverage else None
+        first = _run_workers(scan, payloads, progress)
+        return first, _pack(cover, fd, ps.dim) if fd >= 0 else cover
     finally:
-        if coverage:
+        if fd >= 0:
             os.close(fd)
 
 
@@ -733,17 +730,6 @@ def _pack(marks: np.ndarray, fd: int, dim: int) -> SpaceBitmap:
             if hi - freed >= step:
                 marks.base.obj.madvise(mmap.MADV_REMOVE, freed, hi - freed)  # base.obj: the shared mmap
                 freed = hi
-    return cov
-
-
-def _cover_windows(ps, threads, progress) -> SpaceBitmap:
-    """The packed coverage above dimension 18, on scans that own shares of the windows."""
-    starts, counts = _windows(ps.ranks, ps.dim)
-    shares = _window_shares(counts, threads)
-    # the shares write disjoint bytes of one bitmap; only forked workers need it shared
-    cov = SpaceBitmap(ps.dim, _shared_zeros((POW3[ps.dim] + 7) // 8) if len(shares) > 1 else None)
-    _run_workers(lambda share, progress_cb: _scan_windows(ps.ranks, ps.dim, starts, share, progress_cb, cov),
-                 shares, progress)
     return cov
 
 

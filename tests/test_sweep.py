@@ -78,7 +78,8 @@ def test_kernel_thirds_match_coordinate_arithmetic(dim, monkeypatch):
     # _block_tiles, with the anchors a second array and with the partners
     # themselves; dims 1-39 cross every group-count boundary: 8/9, 16/17,
     # 24/25, 32/33. Small blocks and tiles (a block's own tile still fits)
-    # give a run of equal top groups several blocks and a span several tiles
+    # give a run of equal top groups several blocks and the partners several
+    # tiles
     monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
     monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
     partners, anchors = kernel_ranks(dim, dim), kernel_ranks(dim, 100 + dim)
@@ -91,22 +92,17 @@ def test_kernel_thirds_match_coordinate_arithmetic(dim, monkeypatch):
         assert all(b1 == c0 for (_, b1), (c0, _) in zip(blocks, blocks[1:]))
         top = kernel.anchors // kernel.groups[0][0] if dim > 8 else np.zeros(m)  # one group: any run
         assert all(b1 - b0 <= 8 and len(set(top[b0:b1])) == 1 for b0, b1 in blocks)
-        calls = [(b0, b1, None) for b0, b1 in blocks]
-        calls += [(i, i + 1, None) for i in rng.choice(m - 1, 5)]  # one-anchor blocks
-        lo = int(blocks[-1][1]) if not kernel.cross else 0
-        spans = [(lo, lo), (lo, min(n, lo + 3)), (min(n, lo + 3), n)]  # an empty span first
-        calls += [(b0, b1, spans) for b0, b1 in blocks[:: max(1, len(blocks) // 3)]]
-        calls += [(blocks[0][0], blocks[0][1], [])]
-        for b0, b1, spans in calls:
-            expect = spans if spans is not None else [(0, n)] if kernel.cross else [(b1, n)]
+        calls = blocks + [(i, i + 1) for i in rng.choice(m - 1, 5)]  # one-anchor blocks
+        for b0, b1 in calls:
+            expect = range(0 if kernel.cross else b1, n)
             seen = []
-            for cols, tile in kernel._block_tiles(b0, b1, spans):
+            for cols, tile in kernel._block_tiles(b0, b1):
                 assert tile.dtype == np.intp and tile.shape == (cols.size, b1 - b0)
                 assert np.array_equal(tile, expected_tile(kernel, b0, b1, cols, dim)), (b0, b1, cols)
                 seen.append(cols.tolist())
             if not kernel.cross:  # the own triangle first
                 assert seen.pop(0) == list(range(b0, b1))
-            assert [j for cols in seen for j in cols] == [j for s, e in expect for j in range(s, e)]
+            assert [j for cols in seen for j in cols] == list(expect)
 
 
 def window_of(ranks, dim):
@@ -119,14 +115,15 @@ def window_of(ranks, dim):
 def test_pruned_tiles_skip_only_empty_windows(dim, monkeypatch):
     # with the gate open, a kernel given a target yields correct tiles in
     # ascending partner order and leaves out only partners whose thirds with
-    # every anchor of the block fall in windows that hold no target rank;
-    # below dimension 9 there is one group and nothing is pruned
+    # every anchor of the block fall in windows that hold no target rank; the
+    # block's own tile comes first iff its window holds one. Below dimension
+    # 9 there is one group and nothing is pruned
     monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
     monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
     monkeypatch.setattr(capset.sweep, "_PRUNE_GAIN", 0)
     partners, anchors = kernel_ranks(dim, 7 * dim), kernel_ranks(dim, 8 * dim)
     rng = np.random.default_rng(dim)
-    pruned = 0
+    pruned = own_pruned = 0
     for cross in (True, False):
         target = np.unique(rng.choice(partners, 6))
         kernel = _Kernel(partners, dim, anchors if cross else None, target)
@@ -138,15 +135,20 @@ def test_pruned_tiles_skip_only_empty_windows(dim, monkeypatch):
                 assert np.array_equal(tile, expected_tile(kernel, b0, b1, cols, dim)), (b0, b1, cols)
                 seen += cols.tolist()
             if not cross:
-                assert seen[: b1 - b0] == list(range(b0, b1))
-                seen = seen[b1 - b0 :]
+                own = coordinate_thirds(partners[b0], partners[b0:b1], dim)
+                live = dim <= 8 or np.isin(window_of(own, dim), window_of(target, dim)).any()
+                assert (seen[: b1 - b0] == list(range(b0, b1))) == live
+                if live:
+                    seen = seen[b1 - b0 :]
+                else:
+                    own_pruned += 1
             every = range(0 if cross else b1, partners.size)
             assert seen == sorted(seen) and set(seen) <= set(every)
             for j in set(every) - set(seen):
                 thirds = coordinate_thirds(partners[j], kernel.anchors[b0:b1], dim)
                 assert not np.isin(window_of(thirds, dim), window_of(target, dim)).any()
                 pruned += 1
-    assert (pruned > 0) == (dim > 8)
+    assert (pruned > 0) == (own_pruned > 0) == (dim > 8)
 
 
 @pytest.mark.parametrize("dim", [5, 15, 21, 39])
@@ -611,13 +613,13 @@ def test_streamed_coverage_identical_across_worker_counts(dim, size, chunk_pairs
 
 def window_sets(dim, size):
     """Named dimension-dim test sets for the window sweep: random, B(n)-type,
-    all members in one window, and both with a planted line."""
+    all members in one top-group window, and both with a planted line."""
     rng = random.Random(0x1920 + dim)
-    window = 5 * POW3[15]  # the ranks of window 5
+    width = POW3[_digit_groups(dim)[0][0]]  # the ranks of one window
     sets = {
         "random": random_set(rng, dim, size),
         "B": PointSet(dim, np.random.default_rng(dim).choice(gen_B(dim).ranks, size, replace=False)),
-        "one window": PointSet.from_ranks(rng.sample(range(window, window + POW3[15]), size), dim),
+        "one window": PointSet.from_ranks(rng.sample(range(5 * width, 6 * width), size), dim),
     }
     for name in ("random", "B"):
         s = sets[name]
@@ -626,24 +628,36 @@ def window_sets(dim, size):
     return sets
 
 
+def set_bits(buf):
+    """The ascending ranks whose bit is set in a packed bitmap."""
+    nonzero = np.flatnonzero(buf)
+    bits = np.unpackbits(buf[nonzero, None], axis=1, bitorder="little").astype(bool)
+    return (nonzero[:, None] * 8 + np.arange(8))[bits]
+
+
 @pytest.mark.parametrize("dim", [19, 20])
 def test_packed_coverage_on_window_workers(dim, monkeypatch):
     # above dimension 18 threads 2 and 3 start a worker per share of windows,
     # except where one window holds every pair, and give the threads=1
-    # outcome; dimension 20 runs threads=3 only, to hash fewer 436 MB bitmaps
+    # outcome, whose set bits are the thirds of coordinate arithmetic;
+    # dimension 20 runs threads=3 only, to hash fewer 436 MB bitmaps
     window_shares, start = capset.sweep._window_shares, ForkProcess.start
     shares, started = [], []
     monkeypatch.setattr(capset.sweep, "_window_shares", lambda *a: shares.append(window_shares(*a)) or shares[-1])
     monkeypatch.setattr(ForkProcess, "start", lambda proc: started.append(proc) or start(proc))
     for name, s in window_sets(dim, 200).items():
 
-        def outcome(threads):
+        def outcome(threads, reference=False):
             shares.clear()
             started.clear()
             out = run_sweep(SweepTask(s, "coverage", chunk_pairs=500, threads=threads))
+            if reference:  # the set bits are the thirds of coordinate arithmetic
+                ranks = s.ranks
+                thirds = [coordinate_thirds(ranks[i], ranks[i + 1 :], dim) for i in range(len(s) - 1)]
+                assert np.array_equal(set_bits(out.coverage.buf), np.unique(np.concatenate(thirds))), name
             return out.violation, out.pairs_examined, hashlib.sha256(out.coverage.buf).hexdigest()
 
-        base = outcome(1)
+        base = outcome(1, reference=True)
         assert started == []
         assert (base[0] is None) == (not name.startswith("planted")), name
         assert base[1] == pairs_total(len(s))
@@ -659,14 +673,15 @@ def test_packed_coverage_on_window_workers(dim, monkeypatch):
 
 @pytest.mark.parametrize("dim", [19, 20])
 def test_window_shares_cover_every_window_once(dim):
-    # exact pair counts per window, and shares that split the windows in
-    # whole units of 8, so no two workers write one byte of the bitmap
-    from capset.sweep import _window_shares, _windows
+    # exact pair counts per top-group window, and shares that split the
+    # windows in whole units of 8, so no two workers write one byte of the bitmap
+    from capset.sweep import _window_shares
 
+    shift = _digit_groups(dim)[0][0]
     for name, s in window_sets(dim, 120).items():
-        starts, counts = _windows(s.ranks, s.dim)
+        counts = _Kernel(s.ranks, dim).window_pairs()
         thirds = [rank(third_point(p, q)) for p, q in itertools.combinations(s.points(), 2)]
-        assert counts.tolist() == np.bincount(np.array(thirds) // POW3[15], minlength=POW3[dim - 15]).tolist()
+        assert counts.tolist() == np.bincount(np.array(thirds) // POW3[shift], minlength=POW3[dim - shift]).tolist()
         assert counts.sum() == pairs_total(len(s))
         for threads in (1, 2, 3, 5, 40):
             shares = np.array(_window_shares(counts, threads))
