@@ -2,8 +2,9 @@
 
 For every unordered pair of distinct members the sweep computes the third
 point of their line in packed rank form. In cap mode it tests that point for
-membership and stops at the first member it meets: a gather from the member
-bitmap up to MAX_BITMAP_DIM, a binary search in the sorted ranks above it, so
+membership and stops at the first member it meets: a gather from a byte
+member map of 3^dim bytes up to dimension 18, from the packed member bitmap
+at 19-20, and a binary search in the sorted ranks above MAX_BITMAP_DIM, so
 cap mode runs at every dimension whose ranks fit int64 (up to 39). In
 coverage mode it only marks the point in a coverage bitmap (completeness),
 which needs all 3^dim bits and so stops at MAX_BITMAP_DIM: a byte per point
@@ -29,7 +30,7 @@ anchor) tiles of at most 2^16 intp. The top group's part of the thirds is
 one gather per block, shared by its anchors; each lower group gathers whole
 rows of a (3^width, K) table of the K anchors' rows. The K thirds of one
 partner then differ only in the lower groups, so they land in one small
-slab of the coverage scratch or the member bitmap, and the scatter and the
+slab of the coverage scratch or the member map, and the scatter and the
 membership gather stay in cache. The verifiers' cross-set checks run on the
 same tiles, with the anchors from a second set and no own triangle.
 
@@ -47,13 +48,19 @@ kernel prunes only where the share of empty windows times its anchors per
 block is large enough to pay (_PRUNE_GAIN).
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
-anchor indices; the chunk list does not depend on the worker count, all
-chunk scans store the byte 1 at their third points in one shared 3^dim-byte
-scratch (every store writes the same value, so none is lost), and the
-reported violation is the minimum in canonical pair order, so outcomes are
-bit-identical for any number of workers. Coverage above dimension 18 is cut
-by the windows of the third points instead, the same top-group windows:
-3^12 ranks at dimension 19 and 3^13 at 20. The parent counts the pairs of
+anchor indices, and the chunk list does not depend on the worker count. The
+scans claim the chunks on demand: each takes the next chunk index from one
+shared counter when it has finished its last chunk, so a scan that meets
+cheap chunks takes more of them, and chunks are claimed in ascending order.
+All chunk scans store the byte 1 at their third points in one shared
+3^dim-byte scratch (every store writes the same value, so none is lost). A
+cap scan records the least chunk where any scan found a violation and stops
+once the index it claims is above it; every lower chunk was claimed before
+and is scanned whole, so the least violation of all scans, the reported one,
+is the minimum in canonical pair order. So outcomes are bit-identical for
+any number of workers. Coverage above dimension 18 is cut by the windows of
+the third points instead, the same top-group windows: 3^12 ranks at
+dimension 19 and 3^13 at 20. The parent counts the pairs of
 every window exactly from the kernel's class starts (a class is the members
 of one top group value) and gives the windows to at most one worker per
 thread in units of 8 consecutive windows, balanced by those counts: a
@@ -64,19 +71,21 @@ the code that leaves out the partners of empty windows also leaves out the
 pairs whose thirds another worker marks.
 
 Workers are forked (POSIX fork), so they inherit the imported modules, the
-ranks and the cap-mode member bitmap, which the parent builds once: nothing
+ranks and the cap-mode member map, which the parent builds once: nothing
 is imported again or pickled, and a script that runs a sweep needs no
 __main__ guard. A worker ignores SIGINT; the parent turns an interrupt into
 KeyboardInterrupt and terminates the workers. Before it forks, the parent
 sets up all that a worker writes in shared memory: the coverage (the
 zero-filled byte scratch of the chunk scans in a memfd, or the one packed
-bitmap of the window workers in an anonymous mmap), and three int64 hit
-slots per worker in a RawArray. The parent waits on the workers' process
-sentinels; a worker that exits with a nonzero code raises WorkerError, and
-on any error the workers still running are terminated. When all have
+bitmap of the window workers in an anonymous mmap), the chunk counter and
+the least chunk with a hit, and three int64 hit slots per worker in a
+RawArray. The parent waits on the workers' process sentinels; a worker that
+exits with a nonzero code raises WorkerError, and on any error the workers
+still running are terminated. When all have
 exited, the parent takes the least hit and packs the pages of the scratch
 that hold data, skipping its holes: no sweep merges coverage. A lone
-payload (one chunk, one share or one thread) runs in this process.
+payload (one chunk, one share or one thread) runs in this process, and
+claims its chunks from the same counter.
 
 The coverage is the source of third points for is_complete_pset, and for
 a complete cap. verify_cap_and_complete first runs first_uncovered, which
@@ -105,7 +114,8 @@ from .f3core import _BIT8, MAX_BITMAP_DIM, POW3, SCAN_BLOCK_BYTES, PointSet, Spa
 DEFAULT_CHUNK_PAIRS = 10_000_000
 
 # The shared uint8 coverage scratch of 3^dim bytes (387 MB at dim 18, for any
-# worker count) is used up to here; beyond, coverage is packed bits by window.
+# worker count) and the cap-mode byte member map of as many are used up to
+# here; beyond, coverage is packed bits by window, and the member map packed bits.
 _SCRATCH_DIM_LIMIT = 18
 
 # Least seconds between two progress lines on stderr.
@@ -473,15 +483,26 @@ def _in_sorted(target: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
 def member_hits(ps: PointSet):
     """Tile mask of the pairs whose third point is a member of ps, for _Kernel.first_hit and first_miss.
 
-    A gather from the packed member bitmap, built here once, up to
-    MAX_BITMAP_DIM; a binary search in the sorted ranks above it, where no
-    3^dim bitmap fits.
+    The member map is built here once, so forked workers inherit it. Up to
+    _SCRATCH_DIM_LIMIT it is a 3^dim-byte map, a bool per point, and the
+    mask is one gather from it; at dimensions 19-20 it is the packed member
+    bitmap, and the mask two gathers and an AND; above MAX_BITMAP_DIM, where
+    no 3^dim map fits, the mask is a binary search in the sorted ranks. The
+    byte map is a private anonymous mmap, not np.zeros: numpy advises huge
+    pages on a large array, so the pages its members touch would be
+    allocated 2 MB at a time; here they take 4 KB each, and a page that no
+    member touches reads as the zero page.
     """
     ranks = ps.ranks
     if ps.dim > MAX_BITMAP_DIM:
         return lambda tile, cols: _in_sorted(ranks, tile)[0]
-    members = SpaceBitmap.from_ranks(ranks, ps.dim).buf
-    return lambda tile, cols: np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
+    if ps.dim > _SCRATCH_DIM_LIMIT:
+        members = SpaceBitmap.from_ranks(ranks, ps.dim).buf
+        return lambda tile, cols: np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
+    byte = np.frombuffer(mmap.mmap(-1, POW3[ps.dim], flags=mmap.MAP_PRIVATE), np.bool_)
+    byte[ranks] = True
+    # the thirds are ranks of the space, and mode="clip" spares np.take its bounds check
+    return lambda tile, cols: np.take(byte, tile, mode="clip")
 
 
 def first_uncovered(ps: PointSet, hits) -> int | None:
@@ -503,8 +524,24 @@ def first_uncovered(ps: PointSet, hits) -> int | None:
     return None if miss is None else int(candidates[miss])
 
 
+def _claims(claimed, count: int):
+    """Yield the chunk indices below count that this scan claims from the shared counter claimed.
+
+    Every scan draws from the one counter, which it advances under its lock,
+    so each chunk goes to one scan, in ascending order, and a scan whose
+    chunks are cheap takes more of them.
+    """
+    while True:
+        with claimed.get_lock():
+            idx = claimed.value
+            claimed.value = idx + 1
+        if idx >= count:
+            return
+        yield idx
+
+
 def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, hits=None, stop=None, live=None):
-    """Scan the listed chunks in ascending order, block by block.
+    """Scan the chunks of the ascending indices in turn, block by block.
 
     Given the coverage cover, mark the third point of every pair whose
     window is in live (every window when live is None): store the byte 1 in
@@ -513,9 +550,9 @@ def _scan(ranks, dim, chunks, indices, progress_cb, cover=None, hits=None, stop=
     2^23 and at the end of each chunk, and return None. Otherwise return
     (i, j, third rank) of the first pair whose third point is a member by
     the mask hits of member_hits, or None (the kernel prunes by the windows
-    of the members); it stops early at a chunk beyond one where another
-    worker already found a violation. _Kernel.first_hit finds the first
-    pair of a chunk.
+    of the members); it stops at an index above the least chunk where a
+    scan already found a violation (stop). _Kernel.first_hit finds the
+    first pair of a chunk.
     """
     if cover is not None:
         kernel = _Kernel(ranks, dim, live=live)
@@ -675,21 +712,23 @@ def _sweep_chunks(ps, hits, chunk_pairs, threads, progress):
     """(first violation, coverage) of a sweep of fixed chunks, shared out among at most threads scans.
 
     A cap sweep tests membership with the mask hits; without one it is a
-    coverage sweep. Its scans take parts of the chunk list and share one byte
-    scratch up to dimension 18; above it, each scans every chunk for one
-    share of the windows and ORs into one packed bitmap.
+    coverage sweep. Its scans claim the chunks one at a time from one shared
+    counter and share one byte scratch up to dimension 18; above it, each
+    scans every chunk for one share of the windows and ORs into one packed
+    bitmap.
     """
     coverage = hits is None
     packed = coverage and ps.dim > _SCRATCH_DIM_LIMIT
     chunks = make_chunks(len(ps), chunk_pairs)
+    ctx = mp.get_context("fork")
     if packed:
         shares = _window_shares(_Kernel(ps.ranks, ps.dim).window_pairs(), threads)
         # a share of every window is scanned whole, with no windows to leave out
         payloads = [(range(len(chunks)), None if share.all() else share) for share in shares]
     else:
-        parts = np.array_split(np.arange(len(chunks)), min(threads, len(chunks)))
-        payloads = [(part.tolist(), None) for part in parts]
-    stop = None if coverage else mp.get_context("fork").Value("q", len(chunks))
+        claimed = ctx.Value("q", 0)  # the chunks below it are taken
+        payloads = [(_claims(claimed, len(chunks)), None) for _ in range(min(threads, len(chunks)))]
+    stop = None if coverage else ctx.Value("q", len(chunks))  # the least chunk with a hit
     fd = os.memfd_create("capset-coverage") if coverage and not packed else -1
     try:
         if packed:

@@ -189,7 +189,7 @@ def verify_cap_and_complete(
     missing = first_uncovered(s, hits)
     if missing is not None or pairs_total(m) < POW3[s.dim] - m or s.dim > MAX_BITMAP_DIM:
         outcome = run_sweep(SweepTask(points=s, mode="cap", threads=threads, progress=progress), hits)
-    del hits  # the member bitmap is not kept through a coverage sweep
+    del hits  # the member map (3^n bytes up to dimension 18) is unmapped here, not held through a coverage sweep
     if missing is None and (outcome is None or outcome.violation is None):
         outcome = run_sweep(SweepTask(points=s, mode="coverage", threads=threads, progress=progress))
     if outcome.violation is not None:

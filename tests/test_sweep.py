@@ -1,6 +1,7 @@
 """Pair-sweep engine: chunking, determinism, coverage, early exit, progress."""
 import hashlib
 import itertools
+import mmap
 import os
 from multiprocessing.context import ForkProcess
 import random
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -710,28 +712,115 @@ def test_window_progress_pairs_add_up(dim, threads, monkeypatch):
 
 
 def test_cap_workers_build_no_member_bitmap(monkeypatch):
-    # the parent builds the member bitmap once and the forked workers inherit
-    # it: a worker that builds one exits, which raises WorkerError
-    parent = os.getpid()
+    # the parent builds the member map once (the byte map, an anonymous mmap
+    # of 3^dim bytes, at dimensions 5 and 15, the packed bitmap at 19) and the
+    # forked workers inherit it: a worker that calls member_hits, mmap or
+    # SpaceBitmap.from_ranks exits, which raises WorkerError; the parent's
+    # own builds show that the patches meet the path the sweep takes
+    parent, built = os.getpid(), []
+
+    def parent_only(name, make):
+        def build(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            built.append((name, args[1] if name == "mmap" else None))
+            return make(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(capset.sweep, "member_hits", parent_only("member_hits", capset.sweep.member_hits))
+    monkeypatch.setattr(mmap, "mmap", parent_only("mmap", mmap.mmap))
     from_ranks = SpaceBitmap.from_ranks.__func__
-
-    def parent_only(cls, ranks, dim):
-        if os.getpid() != parent:
-            os._exit(3)
-        return from_ranks(cls, ranks, dim)
-
-    monkeypatch.setattr(SpaceBitmap, "from_ranks", classmethod(parent_only))
+    monkeypatch.setattr(SpaceBitmap, "from_ranks", classmethod(parent_only("from_ranks", from_ranks)))
     rng = random.Random(0xB17)
     for dim in (5, 15, 19):
         s = random_set(rng, dim, 60)
         p, q = s.point(0), s.point(1)
         planted = PointSet.from_ranks(list(s.ranks) + [rank(third_point(p, q))], dim)
         for points in (s, planted):
+            built.clear()
             base = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=1))
+            assert ("mmap", POW3[dim]) in built if dim <= 18 else ("from_ranks", None) in built
             for threads in (2, 3):
                 out = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=threads))
                 assert (out.violation, out.pairs_examined) == (base.violation, base.pairs_examined)
         assert base.violation is not None
+
+
+@pytest.mark.parametrize("dim", [*range(1, 21), 21, 30])
+def test_member_masks_agree_with_isin(dim):
+    # the byte map (up to dimension 18), the packed bitmap (19-20) and the
+    # binary search in the ranks (above 20) give the mask of np.isin, on
+    # tiles of members, their neighbours, random ranks and both ends of the
+    # space, with the ends members and not
+    rng = np.random.default_rng(0x3A5 + dim)
+    top = POW3[dim] - 1
+    for ends in (True, False):
+        pool = rng.integers(0, top + 1, 40)
+        members = np.unique(np.append(pool, [0, top])) if ends else np.unique(pool[(pool != 0) & (pool != top)])
+        hits = capset.sweep.member_hits(PointSet(dim, members))
+        near = np.concatenate([members - 1, members, members + 1, [0, top], rng.integers(0, top + 1, 100)])
+        tile = np.clip(near, 0, top).astype(np.intp)[: near.size // 8 * 8].reshape(-1, 8)
+        mask = hits(tile, np.arange(tile.shape[0]))
+        assert mask.dtype == (np.uint8 if dim in (19, 20) else bool)
+        assert np.array_equal(mask.astype(bool), np.isin(tile, members)), ends
+
+
+def test_claimed_chunks_keep_the_canonical_outcome(tmp_path, monkeypatch):
+    # the worker that claims chunk 0 waits before it scans it, so the other
+    # workers claim and scan the later chunks first: the cap sweep finds a
+    # late violation before the early one, and the outcome is still that of
+    # threads=1; in a coverage sweep the waiting worker scans chunk 0 alone
+    # (it waits until every other chunk is claimed), which a fixed split of
+    # the chunk list would not give, and each chunk is scanned once
+    parent, log, wait = os.getpid(), tmp_path / "claims", {}
+    blocks = _Kernel._blocks
+
+    def slow_first_chunk(self, a0, a1, progress_cb=None):
+        if os.getpid() != parent:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {a0}\n")
+            deadline = time.monotonic() + wait["s"]
+            while a0 == 0 and time.monotonic() < deadline and len(log.read_text().splitlines()) < wait["chunks"]:
+                time.sleep(0.01)
+        yield from blocks(self, a0, a1, progress_cb)
+
+    monkeypatch.setattr(_Kernel, "_blocks", slow_first_chunk)
+    dim, chunk_pairs = 12, 100
+    cap = PointSet.from_ranks(np.random.default_rng(1).choice(POW3[dim], 90, replace=False), dim)
+    ranks = cap.ranks
+    early = rank(third_point(cap.point(0), cap.point(5)))  # the least member is on this line: chunk 0
+    i = int(0.8 * len(cap))  # a line whose least point is the member past 80% of them
+    late = next(t for j in range(i + 1, len(cap)) if (t := rank(third_point(cap.point(i), cap.point(j)))) > ranks[i])
+    lines = {"late": ranks[i], "early and late": min(early, ranks[0])}
+    sets = {
+        "cap": cap,
+        "late": PointSet.from_ranks([*ranks, late], dim),
+        "early and late": PointSet.from_ranks([*ranks, early, late], dim),
+    }
+    for name, s in sets.items():
+        chunks = make_chunks(len(s), chunk_pairs)
+        assert len(chunks) > 30
+        wait["chunks"] = len(chunks)
+        for mode in ("cap", "coverage"):
+
+            def outcome(threads):
+                log.write_text("")
+                wait["s"] = 0.5 if mode == "cap" else 30.0  # the cap sweep stops before the last chunk
+                out = run_sweep(SweepTask(s, mode, chunk_pairs=chunk_pairs, threads=threads))
+                return out.violation, out.pairs_examined, out.coverage and hashlib.sha256(out.coverage.buf).hexdigest()
+
+            base = outcome(1)
+            assert (base[0] is None) == (name == "cap"), (name, mode)
+            for threads in (2, 3):
+                assert outcome(threads) == base, (name, mode, threads)
+                if mode == "coverage" and name == "cap":  # a violation runs a cap sweep after it
+                    claims = [line.split() for line in log.read_text().splitlines()]
+                    assert sorted(int(a0) for _, a0 in claims) == [a0 for a0, _ in chunks]
+                    first = next(pid for pid, a0 in claims if a0 == "0")
+                    assert [a0 for pid, a0 in claims if pid == first] == ["0"], (name, threads)
+        if name != "cap":  # the canonical violation is on the planted line with the least point
+            assert base[0][0] == lines[name], name
 
 
 def test_coverage_workers_pack_nothing(monkeypatch):
