@@ -169,6 +169,15 @@ def neg_ranks(ranks: np.ndarray | Sequence[int], dim: int) -> np.ndarray:
     return ranks_from_coords((3 - coords.astype(np.int64)) % 3)
 
 
+def _sorted_unique(values: np.ndarray | Sequence[int]) -> np.ndarray:
+    """The distinct values, ascending, as np.unique gives them."""
+    # numpy 2.4's plain np.unique imports numpy.ma on its first call in a process (10-15 ms)
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _digit_groups(dim: int) -> list[tuple[int, int]]:
     """(shift, width) of the fewest base-3 digit groups of width at most 8.
 
@@ -298,7 +307,7 @@ class PointSet:
             if ranks.size:
                 if ranks.min() < 0 or ranks.max() >= POW3[dim]:
                     raise RankRangeError(f"rank out of range for dimension {dim}")
-            ranks = np.unique(ranks)
+            ranks = _sorted_unique(ranks)
         ranks = ranks.copy()
         ranks.flags.writeable = False
         self.dim = dim

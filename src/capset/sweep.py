@@ -24,11 +24,12 @@ gather per group and adds, returned as intp indices. The sweep takes the
 anchors of a chunk in blocks: a block is a run of at most 256 consecutive
 anchors that share the value of the top digit group (at dimension 8 and
 below, with one group, the 256 cap alone cuts the blocks). In block order,
-each block meets first itself (the strictly lower triangle of a K x K tile),
-then every later partner in ascending order, in partner-major (partner,
-anchor) tiles of at most 2^16 intp. The top group's part of the thirds is
-one gather per block, shared by its anchors; each lower group gathers whole
-rows of a (3^width, K) table of the K anchors' rows. The K thirds of one
+each block meets first itself (the strictly lower triangle of a K x K tile,
+or, in an ordered kernel, its own rows at the front of its first partner
+tile), then every later partner in ascending order, in partner-major
+(partner, anchor) tiles of at most 2^16 intp. The top group's part of the
+thirds is one gather per block, shared by its anchors; each lower group
+gathers whole rows of a (3^width, K) table of the K anchors' rows. The K thirds of one
 partner then differ only in the lower groups, so they land in one small
 slab of the coverage scratch or the member map, and the scatter and the
 membership gather stay in cache. The verifiers' cross-set checks run on the
@@ -46,6 +47,24 @@ is decided by its empty window and counts as examined, in progress, in
 pairs_examined and in the order that makes the first hit canonical. A
 kernel prunes only where the share of empty windows times its anchors per
 block is large enough to pay (_PRUNE_GAIN).
+
+A pruning kernel whose set is its own partners (the cap sweep, the witness
+search, check_condition2 and is_projective_cap) is ordered: it scans only
+the pairs whose third point ranks above the partner. Each collinear triple
+x < y < z is reached from three pairs, and the canonical one, (x, y) with
+third z, is among those kept; a hit with its third below the partner has
+a smaller hit of the same triple, since the hit relation is symmetric in
+partner and third. So the first hit, a first miss and every count stay
+the same, and a left-out pair counts as examined as a pruned one does.
+The thirds of a block with a class lie in the class's own window only for
+the block's own class: a class whose window of thirds lies below its own
+is left out with the empty ones, and the rows of the own class are masked
+by third > partner. That mask also drops a member paired with itself, so
+the block's own rows need no triangle: they ride at the front of its first
+partner tile, and there is no K x K tile. An ordered kernel computes
+about a third of the thirds of an unordered one, so its (3^width, K) row
+tables would outweigh them: it splits each lower group wider than 4 digits
+in two (dimension 15 as 8 + 4 + 3).
 
 Work is partitioned into fixed chunks (about 10 million pairs) of contiguous
 anchor indices, and the chunk list does not depend on the worker count. The
@@ -130,7 +149,9 @@ _TILE_ITEMS = 1 << 16
 
 # Window pruning (see _Kernel) costs a few numpy passes per live partner of
 # every block and a pass over the partner classes, and saves the K thirds of
-# each pruned partner of a K-anchor block. A kernel prunes only when (share
+# each pruned partner of a K-anchor block. Ordering (see _Kernel) rides on
+# this gate, which it leaves as measured: only a kernel that prunes is
+# ordered. A kernel prunes only when (share
 # of top-group values that hold no target rank) x (mean anchors per
 # occupied top-group value of the anchors) is at least _PRUNE_GAIN. Cap
 # sweeps at threads 1 with pruning forced on against off (median of 3, on a
@@ -220,7 +241,8 @@ class _Kernel:
     """Third-point ranks of anchor blocks against a fixed array of partner ranks.
 
     A rank splits into the base-3 digit groups of f3core._digit_groups (width
-    at most 8, as few as possible, dimension 15 as 8 + 7). A group's row holds
+    at most 8, as few as possible, dimension 15 as 8 + 7; an ordered kernel
+    splits a lower group wider than 4 in two, 8 + 4 + 3). A group's row holds
     the negated digit sum of an anchor's group value with every group value,
     times the group's place value: one broadcast add of two half-width tables
     (at most 81 x 81). The thirds are one gather of intp partner digits per
@@ -253,6 +275,21 @@ class _Kernel:
     counts as examined in progress, pairs_examined and the choice of the
     first hit, exactly as a scanned pair without a hit. A coverage worker
     above dimension 18 gives its share of the windows as live.
+
+    A pruning kernel whose target is its partners array itself is ordered
+    (an equal copy or a view is not): it scans only the pairs whose third
+    ranks above the partner. That is exact for a hit relation symmetric in
+    partner and third under which no pair hits with its partner as third,
+    as for the callers that build such a kernel: the cap sweep,
+    first_uncovered, check_condition2 and is_projective_cap.
+    check_condition1, whose x + x + x = 0 hits with its partner as third,
+    passes a view. The window of the thirds of class a with class b is b
+    itself only for b = a (digitwise, -(a + b) = b iff b = a), so
+    _block_tiles also leaves out each class whose window of thirds lies
+    below its own, and _order masks the rows of the block's own class,
+    own_class, by tile > partners[cols]. The own rows then need no triangle
+    and start the partner tiles at b0. first_hit and first_miss then find
+    what an unordered kernel finds (see first_hit).
     """
 
     def __init__(self, partners: np.ndarray, dim: int, anchors: np.ndarray | None = None,
@@ -262,6 +299,23 @@ class _Kernel:
         self.anchors = np.asarray(anchors, dtype=np.int64) if self.cross else self.partners
         self.index = np.arange(self.partners.size, dtype=np.intp)  # a contiguous tile's partners are a view
         split = _digit_groups(dim)
+        if target is not None and len(split) > 1:
+            place = POW3[split[0][0]]
+            live = np.zeros(POW3[split[0][1]], bool)
+            live[np.asarray(target, dtype=np.int64) // place] = True
+            classes = np.count_nonzero(np.diff(self.anchors // place)) + 1
+            if (1 - live.mean()) * self.anchors.size / classes < _PRUNE_GAIN:
+                live = None
+        self.live = live  # the windows scanned, when the kernel prunes
+        # a pruning kernel whose target is its partners scans only the pairs whose third lies above the partner
+        self.ordered = live is not None and target is partners
+        if self.ordered:
+            # its blocks keep fewer thirds than their (3^width, K) row tables hold: a lower group
+            # wider than 4 digits becomes two, so the tables shrink (dimension 15 as 8 + 4 + 3)
+            split, lower = split[:1], split[1:]
+            for shift, width in lower:
+                low = width // 2
+                split += [(shift + low, width - low), (shift, low)] if width > 4 else [(shift, width)]
         # a single group gathers straight into the intp output
         self.dtype = np.int32 if len(split) > 1 and POW3[dim] < 2**31 else np.intp
         self.groups = []  # (place value, group size, low half size, high table, low table)
@@ -273,18 +327,10 @@ class _Kernel:
             self.groups.append((POW3[shift], POW3[width], POW3[low], high_table, low_table))
             self.digits.append(((self.partners // POW3[shift]) % POW3[width]).astype(np.intp))
         self._tiles = None  # the block buffers, made by the first block
-        if target is not None and len(split) > 1:
-            place, windows = self.groups[0][:2]
-            live = np.zeros(windows, bool)
-            live[np.asarray(target, dtype=np.int64) // place] = True
-            classes = np.count_nonzero(np.diff(self.anchors // place)) + 1
-            if (1 - live.mean()) * self.anchors.size / classes < _PRUNE_GAIN:
-                live = None
-        self.live = live  # the windows scanned, when the kernel prunes
         if live is not None:
-            starts = self.class_starts()
-            self._classes = np.flatnonzero(np.diff(starts))  # the top values that have partners
-            self._class_spans = starts[self._classes], starts[self._classes + 1]
+            self._starts = self.class_starts()
+            self._classes = np.flatnonzero(np.diff(self._starts))  # the top values that have partners
+            self._class_spans = self._starts[self._classes], self._starts[self._classes + 1]
 
     def class_starts(self) -> np.ndarray:
         """Where each class begins: partners[starts[c] : starts[c + 1]] have top group value c."""
@@ -371,10 +417,15 @@ class _Kernel:
         block, [b1, n), or all of [0, n) when the anchors are a second array,
         in ascending slices of at most _TILE_ITEMS // K rows. A kernel with
         live windows leaves out the partners of the windows that are not
-        live, and the own tile when its window is not.
+        live, and the own tile when its window is not. An ordered kernel
+        also leaves out the classes whose thirds lie in a lower window, and
+        has no own tile: its partners start at b0, the block's own rows
+        first, and its pairs are those that _order keeps, which drops each
+        anchor with itself and every pair whose third is not above the
+        partner.
         """
         n, size = self.partners.size, b1 - b0
-        own = not self.cross
+        own = not (self.cross or self.ordered)
         shared = len(self.groups) > 1  # the top group, with one value in the block
         if self._tiles is None:
             self._tiles = [np.empty(_TILE_ITEMS, t) for t in (np.intp, self.dtype, self.dtype)]
@@ -388,8 +439,13 @@ class _Kernel:
             _, _, low_size, high_table, low_table = self.groups[0]
             row = (high_table[value // low_size, :, None] + low_table[value % low_size]).ravel()
             if self.live is not None:
-                live = self.live[row[self._classes] // place]
+                windows = row[self._classes] // place
+                live = self.live[windows]
                 own = own and self.live[row[value] // place]
+                if self.ordered:
+                    # the thirds with class c lie in window c only for the block's own class
+                    live &= windows >= self._classes
+                    self.own_class = self._starts[value], self._starts[value + 1]
         stacks = []  # the (3^width, K) row table of each lower group
         for (place, rows, low_size, high_table, low_table), buf in zip(self.groups[shared:], self._stacks):
             value = anchors // place % rows
@@ -413,7 +469,7 @@ class _Kernel:
             return out
 
         step = max(1, _TILE_ITEMS // size)
-        s = 0 if self.cross else b1
+        s = 0 if self.cross else b0 if self.ordered else b1
         if own:
             if shared:
                 np.take(row, self.digits[0][b0:b1], out=self._top[b0:b1])
@@ -429,6 +485,19 @@ class _Kernel:
             self._top[cols] = np.take(row, self.digits[0][cols])
             yield cols, tile(cols, cols.size)
 
+    def _order(self, hit: np.ndarray, cols: np.ndarray, tile: np.ndarray) -> np.ndarray:
+        """The tile mask hit without the pairs of an ordered kernel whose third is not above the partner.
+
+        Only the rows of the block's own class can hold such pairs: every
+        other class that _block_tiles yields has its thirds in a higher window.
+        """
+        if self.ordered:
+            r0, r1 = np.searchsorted(cols, self.own_class)
+            if r0 < r1:
+                # a bitmap mask holds bit values, which &= would lose
+                np.logical_and(hit[r0:r1], tile[r0:r1] > self.partners[cols[r0:r1], None], out=hit[r0:r1])
+        return hit
+
     def first_hit(self, a0: int, a1: int, hits, progress_cb=None) -> tuple[int, int, int] | None:
         """(anchor, partner, third rank) of the first pair of the anchors [a0, a1) that hits, or None.
 
@@ -437,12 +506,19 @@ class _Kernel:
         anchor with a hit, then its least partner, so the search ends with
         the first block that has a hit. This is the one search for a pair
         whose third point is in a set.
+
+        An ordered kernel finds the same pair. If (i, j) hits with third
+        k < j, then (i, k) hits with third j (the pair relation is symmetric
+        in partner and third), and where the partners are the anchors, k < i
+        makes (k, i) a hit of a smaller anchor. So the first pair has its
+        third above the partner, and a hit of the folded own rows with a
+        partner below its anchor has a smaller anchor with a hit.
         """
         for b0, b1 in self._blocks(a0, a1, progress_cb):
             first = None
             for cols, tile in self._block_tiles(b0, b1):
-                hit = hits(tile, cols)
-                if cols[0] == b0 and not self.cross:
+                hit = self._order(hits(tile, cols), cols, tile)
+                if cols[0] == b0 and not (self.cross or self.ordered):
                     # a bitmap mask holds bit values, which &= would lose
                     hit = np.logical_and(hit, _below(tile.shape[1]))
                 if hit.any():
@@ -460,12 +536,13 @@ class _Kernel:
         For a kernel whose anchors are a second array; hits is a tile mask
         as for first_hit. A block's tiles stop once each of its anchors has
         a hit, and the search ends with the first block that has an anchor
-        without one.
+        without one. An ordered kernel gives the same answer: an anchor has
+        a hit iff it has one whose third is above the partner.
         """
         for b0, b1 in self._blocks(a0, a1):
             hit = np.zeros(b1 - b0, bool)
             for cols, tile in self._block_tiles(b0, b1):
-                hit |= hits(tile, cols).any(axis=0)
+                hit |= self._order(hits(tile, cols), cols, tile).any(axis=0)
                 if hit.all():
                     break
             else:
@@ -488,18 +565,20 @@ def member_hits(ps: PointSet):
     mask is one gather from it; at dimensions 19-20 it is the packed member
     bitmap, and the mask two gathers and an AND; above MAX_BITMAP_DIM, where
     no 3^dim map fits, the mask is a binary search in the sorted ranks. The
-    byte map is a private anonymous mmap, not np.zeros: numpy advises huge
-    pages on a large array, so the pages its members touch would be
-    allocated 2 MB at a time; here they take 4 KB each, and a page that no
-    member touches reads as the zero page.
+    byte map and the bitmap are private anonymous mmaps, not np.zeros: numpy
+    advises huge pages on a large array, so the pages its members touch
+    would be allocated 2 MB at a time; here they take 4 KB each, and a page
+    that no member touches reads as the zero page.
     """
     ranks = ps.ranks
     if ps.dim > MAX_BITMAP_DIM:
         return lambda tile, cols: _in_sorted(ranks, tile)[0]
     if ps.dim > _SCRATCH_DIM_LIMIT:
-        members = SpaceBitmap.from_ranks(ranks, ps.dim).buf
-        return lambda tile, cols: np.take(members, tile >> 3) & np.take(_BIT8, tile & 7)
-    byte = np.frombuffer(mmap.mmap(-1, POW3[ps.dim], flags=mmap.MAP_PRIVATE), np.bool_)
+        members = SpaceBitmap(ps.dim, _private_zeros((POW3[ps.dim] + 7) // 8))
+        members.set_ranks(ranks)
+        bits = members.buf
+        return lambda tile, cols: np.take(bits, tile >> 3) & np.take(_BIT8, tile & 7)
+    byte = _private_zeros(POW3[ps.dim]).view(np.bool_)
     byte[ranks] = True
     # the thirds are ranks of the space, and mode="clip" spares np.take its bounds check
     return lambda tile, cols: np.take(byte, tile, mode="clip")
@@ -513,8 +592,10 @@ def first_uncovered(ps: PointSet, hits) -> int | None:
     more than a sweep of all pairs. A candidate t is covered iff -(x + t) is
     a member for some member x; t is not a member, so -(x + t) is never x.
     That is a kernel with the candidates as its anchors and the members as
-    its partners and target, hits being the member mask of member_hits(ps).
-    None means every candidate is covered.
+    its partners and target, hits being the member mask of member_hits(ps);
+    where it prunes it is ordered, as -(x + t) = y iff -(y + t) = x, so it
+    tests only the members x below -(x + t). None means every candidate is
+    covered.
     """
     m = len(ps)
     budget = max(1, m // 2)
@@ -770,6 +851,11 @@ def _pack(marks: np.ndarray, fd: int, dim: int) -> SpaceBitmap:
                 marks.base.obj.madvise(mmap.MADV_REMOVE, freed, hi - freed)  # base.obj: the shared mmap
                 freed = hi
     return cov
+
+
+def _private_zeros(size: int) -> np.ndarray:
+    """A zero-filled uint8 array in a private anonymous mmap, whose untouched pages read as the zero page."""
+    return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), np.uint8)
 
 
 def _shared_zeros(size: int, fd: int = -1) -> np.ndarray:

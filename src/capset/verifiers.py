@@ -52,6 +52,7 @@ from .f3core import (
     PointSet,
     SpaceBitmap,
     _class_ranks,
+    _sorted_unique,
     neg_ranks,
     unrank,
     zero_masks,
@@ -223,7 +224,7 @@ def pset_pair_condition(s: PointSet) -> VerifyReport:
     t0 = time.perf_counter()
     zm = s.zero_masks()
     m = len(s)
-    family = np.unique(zm)
+    family = _sorted_unique(zm)
     failing = family[_in_intervals(family, family)] if m > 1 else []
     bad = np.flatnonzero(np.isin(zm, failing))
     if bad.size:
@@ -298,7 +299,7 @@ def is_complete_pset(s: PointSet, precheck: bool = True) -> VerifyReport:
             )
     # without the precheck s may not be a cap; its coverage is exact regardless
     coverage = run_sweep(SweepTask(points=s, mode="coverage", threads=1)).coverage
-    family = np.unique(s.zero_masks())
+    family = _sorted_unique(s.zero_masks())
     for block in _uncovered_outside(s, coverage):
         hits = np.flatnonzero(~_in_intervals(zero_masks(block, s.dim), family))
         if hits.size:
@@ -395,7 +396,7 @@ def pset_characterization(s: PointSet) -> VerifyReport:
         if not rep.passed:
             return _report("characterization", False, rep.witness, count, t0)
     zm = s.zero_masks()
-    family = np.unique(zm)
+    family = _sorted_unique(zm)
     count += family.size
     up, above = _up_closure(family, s.dim)
     nested = family[above[family]]
@@ -449,7 +450,9 @@ def check_condition1(p1: PointSet, p2: PointSet, p3: PointSet) -> VerifyReport:
     t0 = time.perf_counter()
     dim = _check_dims(p1, p2, p3)
     n2, n3 = len(p2), len(p3)
-    kernel = _Kernel(p2.ranks, dim, p1.ranks, p3.ranks)
+    # a pair whose third is its partner hits here (x + x + x = 0 for x in all three sets), so the
+    # kernel must not be ordered, as it would be if the target were the partners array itself
+    kernel = _Kernel(p2.ranks, dim, p1.ranks, p3.ranks.view())
     first = kernel.first_hit(0, len(p1), lambda tile, cols: _in_sorted(p3.ranks, tile)[0]) if n3 else None
     if first is None:
         return _report("condition1", True, None, len(p1) * n2 * n3, t0)
@@ -479,7 +482,7 @@ def check_condition3(p12: PointSet, p3: PointSet) -> VerifyReport:
     t0 = time.perf_counter()
     _check_dims(p12, p3)
     zma, zmb = p12.zero_masks(), p3.zero_masks()
-    fa, fb = np.unique(zma), np.unique(zmb)
+    fa, fb = _sorted_unique(zma), _sorted_unique(zmb)
     bad = np.flatnonzero(np.isin(zma, fa[_in_intervals(fa, fb)]))
     if bad.size:
         ix = int(bad[0])
@@ -525,9 +528,9 @@ def is_projective_cap(a) -> VerifyReport:
     if first is None:
         return _report("projective_cap", True, None, comb(m, 3), t0)
     i = first[0]
-    found = []  # the (partner, third) indices into D of every hit of anchor i
+    found = []  # the (partner, third) indices into D of the hits of anchor i
     for cols, tile in kernel._block_tiles(i, i + 1):
-        p = np.flatnonzero(hits(tile, cols))
+        p = np.flatnonzero(kernel._order(hits(tile, cols), cols, tile))
         found.append(np.stack([cols[p], np.searchsorted(target, tile[p, 0])]))
     pairs = np.sort(cls[np.concatenate(found, axis=1)], axis=0)
     j, k = (int(c) for c in pairs[:, np.argmin(pairs[0] * m + pairs[1])])

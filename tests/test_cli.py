@@ -244,6 +244,21 @@ def test_preset_ag15_reports_hypotheses(tmp_path, capsys):
     assert len(s) == 124_928 and s.dim == 15
 
 
+def test_preset_leaves_numpy_ma_unimported(tmp_path):
+    # numpy's plain np.unique imports numpy.ma, 10-15 ms on its first call in
+    # a process; the preset's checks use a sorted-unique of their own
+    script = (
+        "import contextlib, io, sys\n"
+        "from capset import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['preset', 'ag6-112', '-o', {str(tmp_path / 'c.caps')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(capset.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_preset_unknown_name(tmp_path, capsys):
     code, _, err = run(capsys, "preset", "bogus", "-o", str(tmp_path / "x.caps"))
     assert code == 2

@@ -153,6 +153,49 @@ def test_pruned_tiles_skip_only_empty_windows(dim, monkeypatch):
     assert (pruned > 0) == (own_pruned > 0) == (dim > 8)
 
 
+@pytest.mark.parametrize("dim", [9, 12, 15, 16, 19, 21, 30, 39])
+def test_ordered_tiles_keep_pairs_whose_third_lies_above(dim, monkeypatch):
+    # with the gate open, a kernel whose target is its partners, with the
+    # partners or a second array as anchors, is ordered: it leaves out a
+    # partner iff the window of its third with the block is empty or lies
+    # below the partner's own window. Its tiles are correct and ascending,
+    # the block's own rows ride in them (no own tile), and the order mask
+    # _order keeps exactly the pairs whose third ranks above the partner
+    monkeypatch.setattr(capset.sweep, "_BLOCK_ANCHORS", 8)
+    monkeypatch.setattr(capset.sweep, "_TILE_ITEMS", 96)
+    monkeypatch.setattr(capset.sweep, "_PRUNE_GAIN", 0)
+    partners, anchors = kernel_ranks(dim, 9 * dim), kernel_ranks(dim, 10 * dim)
+    assert not _Kernel(partners, dim, target=partners.copy()).ordered  # an equal copy is another target
+    kept = left_out = below = 0
+    for cross in (True, False):
+        kernel = _Kernel(partners, dim, anchors if cross else None, partners)
+        assert kernel.ordered
+        # the top group stays; a lower group wider than 4 digits becomes two (15: 8 + 4 + 3)
+        widths, sizes = [w for _, w in _digit_groups(dim)], [g[1] for g in kernel.groups]
+        assert sizes[0] == POW3[widths[0]] and len(sizes) == 1 + sum(1 + (w > 4) for w in widths[1:])
+        assert np.prod(sizes[1:], dtype=object) == POW3[dim - widths[0]] and max(sizes[1:]) <= POW3[4]
+        for b0, b1 in kernel._blocks(0, kernel.anchors.size):
+            seen = []
+            for cols, tile in kernel._block_tiles(b0, b1):
+                assert np.array_equal(tile, expected_tile(kernel, b0, b1, cols, dim)), (b0, b1, cols)
+                above = kernel._order(np.ones(tile.shape, bool), cols, tile)
+                assert np.array_equal(above, tile > partners[cols, None])
+                seen += cols.tolist()
+            every = range(0 if cross else b0, partners.size)
+            assert seen == sorted(seen) and set(seen) <= set(every)
+            anchor_window = window_of(kernel.anchors[b0], dim)
+            for j in every:
+                window = window_of(coordinate_thirds(kernel.anchors[b0], partners[j : j + 1], dim)[0], dim)
+                own = window_of(partners[j], dim)
+                keep = np.isin(window, window_of(partners, dim)) and window >= own
+                assert (j in seen) == keep, (b0, b1, j)
+                assert (window == own) == (own == anchor_window)  # only the block's own class
+                kept += keep
+                left_out += not keep
+                below += window < own
+    assert kept and left_out and below
+
+
 @pytest.mark.parametrize("dim", [5, 15, 21, 39])
 def test_kernel_hits_match_isin(dim, monkeypatch):
     # _Kernel.first_hit; with bits, the mask holds bit values, as the cap
@@ -712,11 +755,12 @@ def test_window_progress_pairs_add_up(dim, threads, monkeypatch):
 
 
 def test_cap_workers_build_no_member_bitmap(monkeypatch):
-    # the parent builds the member map once (the byte map, an anonymous mmap
-    # of 3^dim bytes, at dimensions 5 and 15, the packed bitmap at 19) and the
-    # forked workers inherit it: a worker that calls member_hits, mmap or
-    # SpaceBitmap.from_ranks exits, which raises WorkerError; the parent's
-    # own builds show that the patches meet the path the sweep takes
+    # the parent builds the member map once (an anonymous mmap: the byte map
+    # of 3^dim bytes at dimensions 5 and 15, the packed bitmap of 3^dim bits
+    # at 19) and the forked workers inherit it: a worker that calls
+    # member_hits, mmap or SpaceBitmap.from_ranks exits, which raises
+    # WorkerError; the parent's own builds show that the patches meet the
+    # path the sweep takes
     parent, built = os.getpid(), []
 
     def parent_only(name, make):
@@ -740,7 +784,7 @@ def test_cap_workers_build_no_member_bitmap(monkeypatch):
         for points in (s, planted):
             built.clear()
             base = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=1))
-            assert ("mmap", POW3[dim]) in built if dim <= 18 else ("from_ranks", None) in built
+            assert ("mmap", POW3[dim] if dim <= 18 else (POW3[dim] + 7) // 8) in built
             for threads in (2, 3):
                 out = run_sweep(SweepTask(points, "cap", chunk_pairs=100, threads=threads))
                 assert (out.violation, out.pairs_examined) == (base.violation, base.pairs_examined)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from capset import f3core, verifiers
+from capset import sweep as capset_sweep
 from capset.capfile import write_capset
 from capset.cli import main as cli_main
 from capset.constructions import (
@@ -227,6 +228,136 @@ def test_pruned_cap_sweep_matches_naive_scan(monkeypatch):
             cap_rep, _ = verify_cap_and_complete(s, threads=threads)
             assert (cap_rep.witness, cap_rep.pairs_examined) == expected
     assert failing == 5
+
+
+def ordered_plant_kind(s, hit):
+    """Where the canonical line (i, j, k) of s puts its third k, for an ordered cap sweep of 8-anchor blocks:
+    in the anchor's block ("own rows"), in its window but a later block ("own class"), or in a higher window."""
+    i, j, k = hit
+    shift, _ = _digit_groups(s.dim)[0]
+    window = s.ranks // POW3[shift]
+    if window[k] > window[j]:
+        return "higher window"
+    start = int(np.searchsorted(window, window[i]))  # the first member of the class, where a block starts
+    return "own rows" if (k - start) // 8 == (i - start) // 8 else "own class"
+
+
+def test_ordered_cap_sweep_matches_naive_scan_on_planted_lines(monkeypatch):
+    # with the gate open the cap sweep is ordered and folds each block's own
+    # rows into its tiles. A line planted through two members of a B(n) cap
+    # puts its canonical third in the anchor's own rows, later in its class
+    # or in a higher window; the sweep must give the oracle's witness and
+    # count at threads 1/2/3 and three chunk sizes
+    monkeypatch.setattr(capset_sweep, "_PRUNE_GAIN", 0)
+    monkeypatch.setattr(capset_sweep, "_BLOCK_ANCHORS", 8)
+    rng = np.random.default_rng(26)
+    kinds = collections.Counter()
+    for dim in (10, 12, 15, 21):
+        base = clustered_b(rng, dim, 3, 30)
+        shift, _ = _digit_groups(dim)[0]
+        for plant in range(6):
+            x, y = rng.choice(base, 2, replace=False)
+            line = [third_rank(x, y, dim)]  # a line through members of two windows
+            if plant % 3 == 1:  # through two members of one window
+                y = rng.choice(base[(base // POW3[shift] == x // POW3[shift]) & (base != x)])
+                line = [third_rank(x, y, dim)]
+            elif plant % 3 == 2:  # the three least ranks of the window of x: ...0, ...1, ...2
+                line = x // POW3[shift] * POW3[shift] + np.arange(3)
+            s = PointSet(dim, np.union1d(base, line))
+            assert _Kernel(s.ranks, dim, target=s.ranks).ordered
+            hit, _ = verifiers._naive_cap_scan(s.coords())
+            kinds[ordered_plant_kind(s, hit)] += 1
+            i, j, _ = hit
+            expected = (tuple(s.point(t) for t in hit), pair_index(len(s), i, j) + 1)
+            for threads, chunk_pairs in itertools.product((1, 2, 3), (7, 500, 10**7)):
+                monkeypatch.setattr(verifiers, "SweepTask", functools.partial(SweepTask, chunk_pairs=chunk_pairs))
+                rep = is_cap(s, threads=threads)
+                assert (rep.witness, rep.pairs_examined) == expected, (dim, threads, chunk_pairs)
+        assert is_cap(PointSet(dim, base)).passed
+    assert len(kinds) == 3 and min(kinds.values()) >= 2, kinds
+
+
+def third_rank(x, y, dim):
+    return rank(third_point(unrank(int(x), dim), unrank(int(y), dim)))
+
+
+def brute_first_uncovered(s):
+    """The least of the first max(1, m // 2) non-members that no pair of s covers, or None."""
+    m = len(s)
+    coords = s.coords().astype(np.int64)
+    weights = np.array(POW3[: s.dim][::-1], dtype=np.int64)
+    covered = {int(r) for i in range(m) for r in (-(coords[i] + coords[i + 1 :]) % 3) @ weights}
+    outside = [r for r in range(min(POW3[s.dim], m + m // 2 + 1)) if not s.has_rank(r)][: max(1, m // 2)]
+    return next((r for r in outside if r not in covered), None)
+
+
+def test_ordered_first_uncovered_matches_brute_force(monkeypatch):
+    # with the gate open the witness search is ordered: a candidate is tested
+    # only against the members whose third lies above them. On clustered B(n)
+    # caps, random sets and ag6-112 in the last coordinates (whose least
+    # non-members are all covered) it finds the brute-force witness
+    monkeypatch.setattr(capset_sweep, "_PRUNE_GAIN", 0)
+    rng = np.random.default_rng(2026)
+    found = 0
+    for dim in (9, 10, 11):
+        sets = [
+            clustered_b(rng, dim, 5, 12),
+            rng.choice(POW3[dim], 150, replace=False),
+            C112.ranks,
+            np.union1d(C112.ranks, [POW3[dim] - 1]),
+        ]
+        for ranks in sets:
+            s = PointSet(dim, np.unique(ranks))
+            candidates = np.setdiff1d(np.arange(len(s) + len(s) // 2 + 1), s.ranks)
+            assert _Kernel(s.ranks, dim, candidates, s.ranks).ordered
+            expected = brute_first_uncovered(s)
+            assert first_uncovered(s, member_hits(s)) == expected, dim
+            found += expected is not None
+    assert 0 < found < 12
+
+
+def test_ordered_cross_checks_keep_witnesses_and_counts(monkeypatch):
+    # with the gate open check_condition2 and is_projective_cap run on ordered
+    # kernels (their target is their partners). Failures planted with the
+    # third in the anchor's window and in another one, and the passing
+    # operands, give the brute-force verdicts, witnesses and counts; so does
+    # check_condition1 given one set as p2 and p3, whose kernel is unordered
+    monkeypatch.setattr(capset_sweep, "_PRUNE_GAIN", 0)
+    rng = random.Random(0x26)
+    failed = collections.Counter()
+    for dim in (9, 12, 15):
+        shift, _ = _digit_groups(dim)[0]
+        for _ in range(4):
+            p1, p3 = random_set(rng, dim, 12), random_set(rng, dim, 30)
+            assert _Kernel(p3.ranks, dim, p1.ranks, p3.ranks).ordered
+            x = p1.point(rng.randrange(12))
+            same = rng.random() < 0.5  # w in the window of x, so the third is there too
+            top = rank(x) // POW3[shift] * POW3[shift] if same else 0
+            w = unrank(top + rng.randrange(POW3[shift] if same else POW3[dim]), dim)
+            if w == x:
+                continue
+            for q in (p3, union_sets([p3, PointSet.from_points([w, third_point(x, w)])], allow_overlap=True)):
+                expected = brute_condition2(p1, q)
+                assert outcome(check_condition2(p1, q)) == expected
+                failed["condition2", same] += not expected[0]
+            # condition 1 with one set as p2 and p3 is not ordered: x + x + x = 0 fails it
+            shared = union_sets([p1, PointSet.from_ranks(p3.ranks[:1], dim)], allow_overlap=True)
+            for q in (p1, shared):
+                expected = brute_condition1(q, p3, p3)
+                assert outcome(check_condition1(q, p3, p3)) == expected
+                failed["condition1"] += not expected[0]
+            reps = projective_reps(rng, dim, 30)
+            i, j = sorted(rng.sample(range(len(reps)), 2))
+            for b in (1, 2):
+                z = tuple((s + b * t) % 3 for s, t in zip(reps.point(i), reps.point(j)))
+                if z not in reps and int(neg_ranks([rank(z)], dim)[0]) not in reps.ranks:
+                    break
+            for a in (reps, extend(reps, z)):
+                expected = brute_projective(a)
+                assert outcome(is_projective_cap(a)) == expected
+                failed["projective"] += not expected[0]
+    assert failed["condition2", True] and failed["condition2", False], failed
+    assert failed["projective"] >= 8 and failed["condition1"] >= 12, failed
 
 
 class OracleCalled(Exception):
